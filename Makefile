@@ -9,7 +9,7 @@ LDFLAGS = -X github.com/masc-project/masc/internal/version.Version=$(VERSION)
 all: test
 
 # Builds version-stamped binaries into ./bin (mascd -version and
-# /healthz report it).
+# /api/v1/healthz report it).
 build:
 	$(GO) build -ldflags '$(LDFLAGS)' -o bin/ ./cmd/...
 

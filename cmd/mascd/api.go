@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -14,29 +13,27 @@ import (
 	"github.com/masc-project/masc/internal/telemetry/flightrec"
 )
 
-// apiPrefix is the versioned management API root. The unversioned
-// observability paths (/metrics, /traces, ...) remain mounted as
-// deprecated aliases of these endpoints.
+// apiPrefix is the management API root: every observability and
+// management endpoint is mounted under it, and nowhere else.
 const apiPrefix = "/api/v1"
 
-// apiRoutes mounts the versioned API: the observability endpoints plus
-// the VEP management resources, every error shaped as the uniform
-// envelope {"error": {"code": ..., "message": ...}}.
+// apiRoutes mounts the management API: the observability endpoints
+// plus the VEP, policy, and instance resources. Every handler reports
+// errors as the envelope {"error": {"code": ..., "message": ...}}
+// (telemetry.WriteError); readyz's 503 is not an error but a
+// structured readiness report ({status, reasons, veps}) probes parse.
 func (d *daemon) apiRoutes(mux *http.ServeMux) {
 	handle := func(path string, h http.Handler) {
-		mux.Handle(apiPrefix+path, apiErrorEnvelope(h))
+		mux.Handle(apiPrefix+path, h)
 	}
 	handle("/metrics", telemetry.MetricsHandler(d.tel.Registry()))
-	traces := http.StripPrefix(apiPrefix, telemetry.TracesHandler(d.tel.Traces(), d.tel.Logs()))
+	traces := telemetry.TracesHandler(d.tel.Traces(), d.tel.Logs())
 	handle("/traces", traces)
 	handle("/traces/", traces)
 	handle("/logs", telemetry.JournalHandler(d.tel.Logs(), telemetry.KindLog, telemetry.KindAudit))
 	handle("/messages", telemetry.JournalHandler(d.tel.Logs(), telemetry.KindMessage))
 	handle("/healthz", http.HandlerFunc(d.healthz))
-	// readyz is mounted without the error envelope: its 503 carries a
-	// structured readiness report ({status, reasons, veps}), not an
-	// error, and probes parse that body.
-	mux.Handle(apiPrefix+"/readyz", http.HandlerFunc(d.readyz))
+	handle("/readyz", http.HandlerFunc(d.readyz))
 	handle("/veps", http.HandlerFunc(d.vepsIndex))
 	handle("/veps/", http.HandlerFunc(d.vepManage))
 	handle("/policies", http.HandlerFunc(d.policiesIndex))
@@ -97,121 +94,20 @@ func (d *daemon) flightrecGet(w http.ResponseWriter, r *http.Request) {
 
 // writeAPIError emits the uniform error envelope.
 func writeAPIError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, errorEnvelope{Error: errorBody{Code: errorCode(status), Message: msg}})
+	telemetry.WriteError(w, status, msg)
 }
 
+// errorEnvelope is the envelope as mascd writes it for a rejected
+// policy document or bundle (422): code and message as everywhere
+// else, plus the compiler front-end's structured findings.
 type errorEnvelope struct {
 	Error errorBody `json:"error"`
 }
 
 type errorBody struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
-	// Diagnostics carries the compiler front-end's structured findings
-	// when a policy document is rejected (422).
+	Code        string               `json:"code"`
+	Message     string               `json:"message"`
 	Diagnostics []compile.Diagnostic `json:"diagnostics,omitempty"`
-}
-
-// errorCode maps an HTTP status to the envelope's stable code slug.
-func errorCode(status int) string {
-	switch status {
-	case http.StatusBadRequest:
-		return "bad_request"
-	case http.StatusNotFound:
-		return "not_found"
-	case http.StatusMethodNotAllowed:
-		return "method_not_allowed"
-	case http.StatusUnprocessableEntity:
-		return "unprocessable"
-	case http.StatusServiceUnavailable:
-		return "unavailable"
-	case http.StatusInternalServerError:
-		return "internal"
-	default:
-		return fmt.Sprintf("http_%d", status)
-	}
-}
-
-// apiErrorEnvelope normalizes every error response (status >= 400)
-// from the wrapped handler into the /api/v1 JSON envelope. Handlers
-// that already emit the envelope pass through unchanged; plain-text
-// and legacy JSON errors are rewrapped.
-func apiErrorEnvelope(h http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ew := &envelopeWriter{rw: w}
-		h.ServeHTTP(ew, r)
-		ew.finish()
-	})
-}
-
-// envelopeWriter passes success responses straight through and buffers
-// error bodies so finish can rewrite them as the envelope.
-type envelopeWriter struct {
-	rw          http.ResponseWriter
-	status      int
-	wroteHeader bool
-	buf         bytes.Buffer
-}
-
-func (e *envelopeWriter) Header() http.Header { return e.rw.Header() }
-
-func (e *envelopeWriter) WriteHeader(code int) {
-	if e.wroteHeader {
-		return
-	}
-	e.wroteHeader = true
-	e.status = code
-	if code < 400 {
-		e.rw.WriteHeader(code)
-	}
-}
-
-func (e *envelopeWriter) Write(p []byte) (int, error) {
-	if !e.wroteHeader {
-		e.WriteHeader(http.StatusOK)
-	}
-	if e.status >= 400 {
-		return e.buf.Write(p)
-	}
-	return e.rw.Write(p)
-}
-
-func (e *envelopeWriter) finish() {
-	if !e.wroteHeader || e.status < 400 {
-		return
-	}
-	body := strings.TrimSpace(e.buf.String())
-	var probe errorEnvelope
-	if json.Unmarshal([]byte(body), &probe) == nil && probe.Error.Code != "" {
-		// Already the envelope: pass through verbatim.
-		e.rw.Header().Set("Content-Type", "application/json; charset=utf-8")
-		e.rw.WriteHeader(e.status)
-		_, _ = e.rw.Write(e.buf.Bytes())
-		return
-	}
-	writeAPIError(e.rw, e.status, errorMessage(body, e.status))
-}
-
-// errorMessage extracts a human-readable message from an error body:
-// legacy JSON errors ({"error": "..."}), or the plain text itself.
-func errorMessage(body string, status int) string {
-	var legacy struct {
-		Error any `json:"error"`
-	}
-	if json.Unmarshal([]byte(body), &legacy) == nil {
-		switch v := legacy.Error.(type) {
-		case string:
-			return v
-		case map[string]any:
-			if m, ok := v["message"].(string); ok {
-				return m
-			}
-		}
-	}
-	if body == "" {
-		return http.StatusText(status)
-	}
-	return body
 }
 
 // protectionStatus summarizes a VEP's overload protection in listings.

@@ -133,64 +133,91 @@ func TestAPIServiceManagement(t *testing.T) {
 	}
 }
 
-func TestAPIErrorEnvelopeWrapsLegacyErrors(t *testing.T) {
+// TestAPIErrorEnvelopeOnEveryHandler: every 4xx under /api/v1 is the
+// envelope, whichever package owns the handler — the telemetry and
+// decision handlers write it themselves, nothing rewraps a body.
+func TestAPIErrorEnvelopeOnEveryHandler(t *testing.T) {
 	_, srv := apiServer(t)
 
-	// TracesHandler's legacy {"error": "unknown trace"} JSON is
-	// rewrapped into the uniform envelope.
-	hr, err := srv.Client().Get(srv.URL + "/api/v1/traces/no-such-trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hr.Body.Close()
-	if hr.StatusCode != http.StatusNotFound {
-		t.Fatalf("status = %d", hr.StatusCode)
-	}
-	var envl errorEnvelope
-	decodeJSON(t, hr.Body, &envl)
-	if envl.Error.Code != "not_found" || envl.Error.Message != "unknown trace" {
-		t.Fatalf("envelope = %+v", envl)
-	}
-
-	// Method errors use the envelope too.
-	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/api/v1/veps", nil)
-	hr2, err := srv.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hr2.Body.Close()
-	decodeJSON(t, hr2.Body, &envl)
-	if hr2.StatusCode != http.StatusMethodNotAllowed || envl.Error.Code != "method_not_allowed" {
-		t.Fatalf("status = %d envelope = %+v", hr2.StatusCode, envl)
+	for _, tc := range []struct {
+		method, path  string
+		status        int
+		code, message string
+	}{
+		{"GET", "/traces/no-such-trace", 404, "not_found", "unknown trace"},
+		{"GET", "/logs?level=loud", 400, "bad_request", "unknown level"},
+		{"GET", "/logs?since=yesterday", 400, "bad_request", "since must be RFC 3339"},
+		{"GET", "/messages?limit=-1", 400, "bad_request", "limit must be a non-negative integer"},
+		{"POST", "/decisions", 405, "method_not_allowed", "method not allowed"},
+		{"GET", "/decisions?limit=0", 400, "bad_request", "bad limit"},
+		{"GET", "/decisions?since=yesterday", 400, "bad_request", ""},
+		{"DELETE", "/veps", 405, "method_not_allowed", "use GET"},
+	} {
+		req, _ := http.NewRequest(tc.method, srv.URL+apiPrefix+tc.path, nil)
+		hr, err := srv.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var envl errorEnvelope
+		decodeJSON(t, hr.Body, &envl)
+		hr.Body.Close()
+		if hr.StatusCode != tc.status || envl.Error.Code != tc.code {
+			t.Errorf("%s %s: status = %d envelope = %+v", tc.method, tc.path, hr.StatusCode, envl)
+		}
+		if tc.message != "" && envl.Error.Message != tc.message {
+			t.Errorf("%s %s: message = %q, want %q", tc.method, tc.path, envl.Error.Message, tc.message)
+		}
+		if ct := hr.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
+			t.Errorf("%s %s: content-type = %q", tc.method, tc.path, ct)
+		}
 	}
 }
 
+// TestAPIObservabilityAliases: the management surface is /api/v1 and
+// nothing else — the unversioned aliases are gone.
 func TestAPIObservabilityAliases(t *testing.T) {
-	_, srv := apiServer(t)
+	d, srv := apiServer(t)
 	postCatalog(t, srv)
 
-	// The versioned metrics endpoint serves the same exposition as the
-	// deprecated unversioned alias.
-	for _, path := range []string{"/metrics", "/api/v1/metrics"} {
-		hr, err := srv.Client().Get(srv.URL + path)
+	for _, tc := range []struct {
+		path     string
+		status   int
+		contains string
+	}{
+		{"/metrics", http.StatusNotFound, ""},
+		{"/healthz", http.StatusNotFound, ""},
+		{"/api/v1/metrics", http.StatusOK, "masc_vep_invocations_total"},
+		{"/api/v1/healthz", http.StatusOK, "protection_policies"},
+	} {
+		hr, err := srv.Client().Get(srv.URL + tc.path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		body, _ := io.ReadAll(hr.Body)
 		hr.Body.Close()
-		if hr.StatusCode != http.StatusOK || !strings.Contains(string(body), "masc_vep_invocations_total") {
-			t.Fatalf("%s: status = %d", path, hr.StatusCode)
+		if hr.StatusCode != tc.status || !strings.Contains(string(body), tc.contains) {
+			t.Fatalf("%s: status = %d (want %d), body lacks %q", tc.path, hr.StatusCode, tc.status, tc.contains)
 		}
 	}
 
-	hr, err := srv.Client().Get(srv.URL + "/api/v1/healthz")
-	if err != nil {
-		t.Fatal(err)
+	// Outside the gateway prefixes, /api/v1/ and /debug/pprof/ the mux
+	// matches nothing: not the seven former aliases, not a catch-all.
+	mux := d.routes(true)
+	for _, path := range []string{"/", "/metrics", "/traces", "/traces/trace-1", "/logs",
+		"/messages", "/healthz", "/readyz", "/api", "/api/v2/metrics", "/debug/vars"} {
+		if _, pat := mux.Handler(httptest.NewRequest("GET", path, nil)); pat != "" {
+			t.Errorf("%s is served by pattern %q", path, pat)
+		}
 	}
-	defer hr.Body.Close()
-	var health map[string]any
-	decodeJSON(t, hr.Body, &health)
-	if _, ok := health["protection_policies"]; !ok {
-		t.Fatalf("healthz missing protection_policies: %v", health)
+	for path, prefix := range map[string]string{
+		"/vep/Retailer":            "/vep/",
+		"/process/OrderingProcess": "/process/",
+		"/svc/scm/retailer-a":      "/svc/",
+		"/api/v1/traces/trace-1":   apiPrefix + "/",
+		"/debug/pprof/heap":        "/debug/pprof/",
+	} {
+		if _, pat := mux.Handler(httptest.NewRequest("GET", path, nil)); !strings.HasPrefix(pat, prefix) {
+			t.Errorf("%s is served by pattern %q, want one under %s", path, pat, prefix)
+		}
 	}
 }

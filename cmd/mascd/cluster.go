@@ -142,10 +142,7 @@ func (cr *clusterRuntime) Stop() {
 // selfInfo advertises the policy revision and WAL write position in
 // every heartbeat.
 func (cr *clusterRuntime) selfInfo() cluster.NodeInfo {
-	info := cluster.NodeInfo{}
-	if cs := compile.Lookup(cr.d.repo); cs != nil {
-		info.PolicyRevision = cs.Manifest.Revision
-	}
+	info := cluster.NodeInfo{PolicyRevision: compile.Lookup(cr.d.repo).Manifest.Revision}
 	if cr.d.st != nil {
 		info.WALSegment, info.WALOffset = cr.d.st.WALPosition()
 	}
@@ -312,9 +309,19 @@ func clusterKey(r *http.Request, body []byte) string {
 	return soap.ConversationID(env)
 }
 
-// mountClusterRoutes adds the cluster endpoints to the API mux.
+// mount adds the cluster endpoints to the API mux. The status handler
+// belongs to the cluster package and answers a wrong method in plain
+// text, so the method is checked here, in the envelope; heartbeat and
+// wal are the intra-cluster protocol, not management resources.
 func (cr *clusterRuntime) mount(mux *http.ServeMux) {
-	mux.Handle(apiPrefix+"/cluster", apiErrorEnvelope(cr.node.StatusHandler()))
+	status := cr.node.StatusHandler()
+	mux.HandleFunc(apiPrefix+"/cluster", func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet {
+			writeAPIError(w, http.StatusMethodNotAllowed, "use GET")
+			return
+		}
+		status.ServeHTTP(w, r)
+	})
 	mux.Handle(apiPrefix+"/cluster/heartbeat",
 		http.HandlerFunc(cr.node.Membership().HandleHeartbeat))
 	if cr.feed != nil {

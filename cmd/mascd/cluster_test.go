@@ -16,7 +16,6 @@ import (
 
 	"github.com/masc-project/masc/internal/bus"
 	"github.com/masc-project/masc/internal/cluster"
-	"github.com/masc-project/masc/internal/policy"
 	"github.com/masc-project/masc/internal/scm"
 	"github.com/masc-project/masc/internal/telemetry"
 	"github.com/masc-project/masc/internal/telemetry/decision"
@@ -68,11 +67,8 @@ func bootCluster(t *testing.T, n int, heartbeat time.Duration) []*clusterTestNod
 		if err != nil {
 			t.Fatal(err)
 		}
-		repo := policy.NewRepository()
-		if _, err := repo.LoadXML(defaultPolicies); err != nil {
-			t.Fatal(err)
-		}
 		tel := telemetry.New(0)
+		repo := testRepository(t, tel, defaultPolicies)
 		d := &daemon{
 			network:   network,
 			repo:      repo,
@@ -267,6 +263,19 @@ func TestClusterStatusAndForwarding(t *testing.T) {
 	}
 	if health.Cluster == nil || health.Cluster.Node != "node-0" || health.Cluster.MembersAlive != 2 {
 		t.Fatalf("healthz cluster = %+v", health.Cluster)
+	}
+
+	// A wrong method on the status resource is the envelope, like the
+	// rest of /api/v1.
+	resp2, err := http.Post(nodes[0].srv.URL+"/api/v1/cluster", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp2.Body.Close()
+	var envl errorEnvelope
+	decodeJSON(t, resp2.Body, &envl)
+	if resp2.StatusCode != http.StatusMethodNotAllowed || envl.Error.Code != "method_not_allowed" {
+		t.Fatalf("POST /api/v1/cluster: status = %d envelope = %+v", resp2.StatusCode, envl)
 	}
 }
 

@@ -43,11 +43,8 @@ func e2eDaemon(t *testing.T) *daemon {
 	if err != nil {
 		t.Fatal(err)
 	}
-	repo := policy.NewRepository()
-	if _, err := repo.LoadXML(e2ePolicies); err != nil {
-		t.Fatal(err)
-	}
 	tel := telemetry.New(0)
+	repo := testRepository(t, tel, e2ePolicies)
 	dec := decision.NewRecorder(0, tel.Registry())
 	gateway := bus.New(network, bus.WithPolicyRepository(repo), bus.WithTelemetry(tel),
 		bus.WithDecisions(dec))
@@ -140,7 +137,7 @@ func TestGatewayExchangeFullyCorrelated(t *testing.T) {
 
 	// /messages holds the exchange record: recovered outcome, both
 	// attempts counted.
-	msgs := getJournal(t, srv, "/messages"+q)
+	msgs := getJournal(t, srv, "/api/v1/messages"+q)
 	if len(msgs) != 1 {
 		t.Fatalf("messages = %+v", msgs)
 	}
@@ -156,7 +153,7 @@ func TestGatewayExchangeFullyCorrelated(t *testing.T) {
 	}
 
 	// /logs holds the per-attempt log lines and the audit trail.
-	logs := getJournal(t, srv, "/logs"+q)
+	logs := getJournal(t, srv, "/api/v1/logs"+q)
 	var attemptLines, monitorAudits int
 	var adaptation *journalEntry
 	for i, e := range logs {
@@ -186,7 +183,7 @@ func TestGatewayExchangeFullyCorrelated(t *testing.T) {
 	}
 
 	// The trace view links back to the same correlation ID.
-	hr, err := srv.Client().Get(srv.URL + "/traces")
+	hr, err := srv.Client().Get(srv.URL + "/api/v1/traces")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +193,7 @@ func TestGatewayExchangeFullyCorrelated(t *testing.T) {
 	if err != nil || len(sums) != 1 {
 		t.Fatalf("traces = %+v err = %v", sums, err)
 	}
-	hr2, err := srv.Client().Get(srv.URL + "/traces/" + sums[0].ID)
+	hr2, err := srv.Client().Get(srv.URL + "/api/v1/traces/" + sums[0].ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,6 +211,15 @@ func TestGatewayExchangeFullyCorrelated(t *testing.T) {
 	}
 	if !strings.Contains(det.LogsURL, url.QueryEscape(conv)) || !strings.Contains(det.MessagesURL, url.QueryEscape(conv)) {
 		t.Fatalf("journal links = %q %q", det.LogsURL, det.MessagesURL)
+	}
+	// Both links resolve on the surface that served the trace.
+	for _, link := range []string{det.LogsURL, det.MessagesURL} {
+		if !strings.HasPrefix(link, apiPrefix+"/") {
+			t.Fatalf("journal link %q leaves %s", link, apiPrefix)
+		}
+		if entries := getJournal(t, srv, link); len(entries) == 0 {
+			t.Fatalf("journal link %q lists no entries", link)
+		}
 	}
 
 	// The message record carries the trace ID too, so either key joins
@@ -279,7 +285,7 @@ func TestGatewayAdoptsPropagatedTraceContext(t *testing.T) {
 		t.Fatalf("resp = %+v err = %v", resp, err)
 	}
 
-	hr, err := srv.Client().Get(srv.URL + "/traces/trace-upstream-42")
+	hr, err := srv.Client().Get(srv.URL + "/api/v1/traces/trace-upstream-42")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +302,7 @@ func TestGatewayAdoptsPropagatedTraceContext(t *testing.T) {
 	}
 
 	// The journal entries for the exchange carry the adopted ID.
-	msgs := getJournal(t, srv, "/messages?trace="+url.QueryEscape("trace-upstream-42"))
+	msgs := getJournal(t, srv, "/api/v1/messages?trace="+url.QueryEscape("trace-upstream-42"))
 	if len(msgs) != 1 || msgs[0].Trace != "trace-upstream-42" {
 		t.Fatalf("messages by adopted trace = %+v", msgs)
 	}

@@ -4,75 +4,18 @@
 // recovery policies, and (optionally) a policy document supplied with
 // -policies — or a whole bundle directory of *.xml documents supplied
 // with -policy-dir — replaces the built-in one. Policies are compiled
-// to an immutable decision IR and swapped atomically on every change;
-// -policy-interp keeps the tree interpreter instead (the
-// differential-testing escape hatch). Send SOAP POSTs at the gateway:
+// to an immutable decision IR and swapped atomically on every change.
+// Send SOAP POSTs at the gateway:
 //
 //	mascd -listen :8080
 //	curl -s -X POST --data '<e:Envelope xmlns:e="http://schemas.xmlsoap.org/soap/envelope/"><e:Body><getCatalog xmlns="urn:wsi:scm"><category>tv</category></getCatalog></e:Body></e:Envelope>' http://localhost:8080/vep/Retailer
 //
-// Management API under /api/v1 (see docs/observability.md); every
-// error response uses the envelope {"error":{"code","message"}}:
-//
-//	/api/v1/metrics        Prometheus text exposition of all metrics
-//	/api/v1/traces         JSON list of recent gateway traces
-//	/api/v1/traces/{id}    one trace as a correlated span tree
-//	/api/v1/logs           structured log + audit entries
-//	                       (?conversation=, ?level=, ?component=,
-//	                       ?since=, ?trace=, ?kind=, ?limit=)
-//	/api/v1/messages       the gateway message journal, same filters
-//	/api/v1/healthz        JSON liveness (version, uptime, VEP and
-//	                       policy counts, per-VEP latency quantiles)
-//	/api/v1/readyz         per-backend VEP health from the QoS tracker
-//	                       (503 with JSON reasons when a VEP has no
-//	                       healthy backend, every backend of a VEP has
-//	                       an open circuit breaker, or an SLO is
-//	                       burning its error budget)
-//	/api/v1/slo            SLO report: objectives derived from the
-//	                       monitoring policies, rolling error budgets,
-//	                       and 5m/1h burn rates per VEP
-//	/api/v1/flightrec      flight-recorder bundles captured on
-//	                       classified faults / SLA violations (requires
-//	                       -data-dir); /api/v1/flightrec/{id} fetches
-//	                       one correlated bundle
-//	/api/v1/decisions      decision provenance: one structured record
-//	                       per policy evaluation, with inputs,
-//	                       assertions, verdicts, and latency
-//	                       (?policy=, ?subject=, ?conversation=,
-//	                       ?instance=, ?trace=, ?site=, ?verdict=,
-//	                       ?since=, ?limit=)
-//	/api/v1/policies       policy management: GET lists the published
-//	                       bundle (revision, per-document SHA-256,
-//	                       compile diagnostics)
-//	/api/v1/policies/{name}  GET one document (raw WS-Policy4MASC XML
-//	                       with Accept: application/xml or ?format=xml,
-//	                       JSON metadata otherwise), PUT validates +
-//	                       compiles + atomically publishes a replacement
-//	                       (422 with structured diagnostics on failure;
-//	                       the previous set keeps serving), DELETE
-//	                       unloads it
-//	/api/v1/policies/reload  POST re-reads -policy-dir as one
-//	                       all-or-nothing transaction
-//	/api/v1/veps           VEP listing with services, protection
-//	                       status, and circuit-breaker states
-//	/api/v1/veps/{name}/services  runtime service (de)registration
-//	                       (POST {"address": ...} / DELETE ?address=)
-//	/api/v1/instances      process instances: GET lists them, POST
-//	                       starts one ({"definition","inputs"} both
-//	                       optional)
-//	/api/v1/instances/{id}         one instance's state
-//	/api/v1/instances/{id}/suspend park at the next activity boundary
-//	/api/v1/instances/{id}/resume  release (incl. boot-recovered
-//	                       instances, which continue from their last
-//	                       durable checkpoint)
-//	/api/v1/instances/{id}/checkpoint  the instance's durable
-//	                       checkpoint decoded to instanceSnapshot XML
-//	                       (requires -data-dir)
-//	/api/v1/instances/{id}/timeline  the instance's adaptation
-//	                       timeline: decision records, journal entries,
-//	                       trace spans, and checkpoint events merged in
-//	                       time order
-//	/debug/pprof           only with -debug
+// Everything else the daemon serves is the management API under
+// /api/v1 — metrics, traces, logs, health, SLOs, decisions, policies,
+// VEPs, instances, cluster status — documented endpoint by endpoint in
+// docs/observability.md; every error response there uses the envelope
+// {"error":{"code","message"}}. /debug/pprof is mounted only with
+// -debug.
 //
 // The OrderingProcess composition is deployed and hosted at
 // /process/OrderingProcess. With -data-dir <dir> the daemon opens a
@@ -95,14 +38,13 @@
 // -data-dir the records also stream to size-capped NDJSON segments
 // under <data-dir>/decisions; -decision-log-segment caps one segment's
 // bytes and -decision-log-keep bounds how many segments are retained.
-//
-// The unversioned paths (/metrics, /traces, /logs, /messages,
-// /healthz, /readyz) remain as deprecated aliases.
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"flag"
 	"fmt"
 	"net"
 	"net/http"
@@ -110,7 +52,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -152,177 +93,16 @@ func main() {
 }
 
 func run(args []string) error {
-	listen := ":8080"
-	policyPath := ""
-	policyDir := ""
-	policyInterp := false
-	dataDir := ""
-	syncMode := "batched"
-	ckptOpts := workflow.PersistenceOptions{}
-	exportURL := ""
-	exportInterval := 15 * time.Second
-	decisionRing := 0
-	decisionLogOpts := decision.LogOptions{}
-	clusterCfg := clusterSettings{}
-	debug := false
-	for i := 0; i < len(args); i++ {
-		switch args[i] {
-		case "-listen":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-listen needs an address")
-			}
-			listen = args[i]
-		case "-policies":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-policies needs a file")
-			}
-			policyPath = args[i]
-		case "-policy-dir":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-policy-dir needs a directory")
-			}
-			policyDir = args[i]
-		case "-policy-interp":
-			policyInterp = true
-		case "-data-dir":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-data-dir needs a directory")
-			}
-			dataDir = args[i]
-		case "-sync":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-sync needs a mode (always, batched, off)")
-			}
-			syncMode = args[i]
-		case "-ckpt-anchor-every":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-ckpt-anchor-every needs a record count")
-			}
-			n, err := strconv.Atoi(args[i])
-			if err != nil || n < 1 {
-				return fmt.Errorf("-ckpt-anchor-every: want a positive integer, got %q", args[i])
-			}
-			ckptOpts.AnchorEvery = n
-		case "-ckpt-queue":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-ckpt-queue needs a queue depth")
-			}
-			n, err := strconv.Atoi(args[i])
-			if err != nil || n < 1 {
-				return fmt.Errorf("-ckpt-queue: want a positive integer, got %q", args[i])
-			}
-			ckptOpts.QueueDepth = n
-		case "-ckpt-durable-finish":
-			ckptOpts.DurableFinish = true
-		case "-decision-ring":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-decision-ring needs a record count")
-			}
-			n, err := strconv.Atoi(args[i])
-			if err != nil || n < 1 {
-				return fmt.Errorf("-decision-ring: want a positive integer, got %q", args[i])
-			}
-			decisionRing = n
-		case "-decision-log-segment":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-decision-log-segment needs a byte count")
-			}
-			n, err := strconv.ParseInt(args[i], 10, 64)
-			if err != nil || n < 1 {
-				return fmt.Errorf("-decision-log-segment: want a positive byte count, got %q", args[i])
-			}
-			decisionLogOpts.SegmentBytes = n
-		case "-decision-log-keep":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-decision-log-keep needs a segment count")
-			}
-			n, err := strconv.Atoi(args[i])
-			if err != nil || n < 1 {
-				return fmt.Errorf("-decision-log-keep: want a positive integer, got %q", args[i])
-			}
-			decisionLogOpts.MaxSegments = n
-		case "-export-url":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-export-url needs a URL")
-			}
-			exportURL = args[i]
-		case "-export-interval":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-export-interval needs a duration")
-			}
-			iv, err := time.ParseDuration(args[i])
-			if err != nil {
-				return fmt.Errorf("-export-interval: %w", err)
-			}
-			exportInterval = iv
-		case "-node-id":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-node-id needs an identifier")
-			}
-			clusterCfg.nodeID = args[i]
-		case "-advertise":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-advertise needs a base URL")
-			}
-			clusterCfg.advertise = strings.TrimRight(args[i], "/")
-		case "-cluster-seed":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-cluster-seed needs id=http://host:port")
-			}
-			seed, err := parseSeed(args[i])
-			if err != nil {
-				return err
-			}
-			clusterCfg.seeds = append(clusterCfg.seeds, seed)
-		case "-replication-level":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-replication-level needs a follower count")
-			}
-			n, err := strconv.Atoi(args[i])
-			if err != nil || n < 0 {
-				return fmt.Errorf("-replication-level: want a non-negative integer, got %q", args[i])
-			}
-			clusterCfg.replicationLevel = n
-		case "-cluster-secret":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-cluster-secret needs a token")
-			}
-			clusterCfg.secret = args[i]
-		case "-cluster-heartbeat":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-cluster-heartbeat needs a duration")
-			}
-			iv, err := time.ParseDuration(args[i])
-			if err != nil {
-				return fmt.Errorf("-cluster-heartbeat: %w", err)
-			}
-			clusterCfg.heartbeat = iv
-		case "-debug":
-			debug = true
-		case "-version":
-			fmt.Println("mascd", version.Version)
-			return nil
-		default:
-			return fmt.Errorf("unknown flag %q", args[i])
-		}
+	cfg, err := parseFlags(args, os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	if cfg.version {
+		fmt.Println("mascd", version.Version)
+		return nil
 	}
 
 	// Backend SCM services on an in-process network but also exposed
@@ -333,26 +113,15 @@ func run(args []string) error {
 		return err
 	}
 
-	if policyPath != "" && policyDir != "" {
-		return fmt.Errorf("-policies and -policy-dir are mutually exclusive")
-	}
-
 	tel := telemetry.New(0)
 	events := event.NewBus()
 
-	// Policies compile to the decision IR by default; -policy-interp
-	// keeps the tree interpreter (the differential-testing escape hatch).
-	repo := policy.NewRepository()
-	if !policyInterp {
-		if err := compile.Enable(repo, compile.Options{
-			Registry: tel.Registry(),
-			Journal:  tel.Logs(),
-		}); err != nil {
-			return err
-		}
+	repo, err := newRepository(tel)
+	if err != nil {
+		return err
 	}
-	if policyDir != "" {
-		bundle, err := compile.LoadDir(policyDir)
+	if cfg.policyDir != "" {
+		bundle, err := compile.LoadDir(cfg.policyDir)
 		if err != nil {
 			return err
 		}
@@ -361,8 +130,8 @@ func run(args []string) error {
 		}
 	} else {
 		policyXML := defaultPolicies
-		if policyPath != "" {
-			raw, err := os.ReadFile(policyPath)
+		if cfg.policyPath != "" {
+			raw, err := os.ReadFile(cfg.policyPath)
 			if err != nil {
 				return err
 			}
@@ -376,25 +145,22 @@ func run(args []string) error {
 	// Decision provenance: every policy-evaluation site records into
 	// this ring; with -data-dir the records additionally stream to a
 	// durable NDJSON log under <data-dir>/decisions.
-	dec := decision.NewRecorder(decisionRing, tel.Registry())
+	dec := decision.NewRecorder(cfg.decisionRing, tel.Registry())
 
 	d := &daemon{
 		network:   network,
 		repo:      repo,
-		policyDir: policyDir,
+		policyDir: cfg.policyDir,
 		tel:       tel,
 		start:     time.Now(),
-		ckptOpts:  ckptOpts,
+		ckptOpts:  cfg.ckpt,
 		decisions: dec,
 	}
-	if clusterCfg.enabled() && clusterCfg.advertise == "" {
-		return fmt.Errorf("-node-id requires -advertise (peers must be able to reach this node)")
-	}
-	if dataDir != "" {
+	if cfg.dataDir != "" {
 		// Cluster mode keeps every WAL segment (no snapshot compaction):
 		// followers replicate the raw log, and a compacted segment would
 		// break their cursors mid-stream.
-		st, err := openDataDir(dataDir, syncMode, d, clusterCfg.enabled())
+		st, err := openDataDir(cfg.dataDir, cfg.syncMode, d, cfg.cluster.enabled())
 		if err != nil {
 			return err
 		}
@@ -452,13 +218,13 @@ func run(args []string) error {
 		}
 	}()
 
-	if dataDir != "" {
+	if cfg.dataDir != "" {
 		rec, err := flightrec.New(flightrec.Options{
-			Dir:       filepath.Join(dataDir, "flightrec"),
+			Dir:       filepath.Join(cfg.dataDir, "flightrec"),
 			Telemetry: tel,
 			SLOState:  func() interface{} { return d.slo.Status() },
 			Decisions: dec,
-			Node:      clusterCfg.nodeID,
+			Node:      cfg.cluster.nodeID,
 		})
 		if err != nil {
 			return err
@@ -467,8 +233,8 @@ func run(args []string) error {
 		d.flight = rec
 		defer rec.Close()
 
-		decisionLogOpts.Metrics = tel.Registry()
-		dlog, err := decision.OpenLog(filepath.Join(dataDir, "decisions"), decisionLogOpts)
+		cfg.decisionLog.Metrics = tel.Registry()
+		dlog, err := decision.OpenLog(filepath.Join(cfg.dataDir, "decisions"), cfg.decisionLog)
 		if err != nil {
 			return err
 		}
@@ -476,11 +242,11 @@ func run(args []string) error {
 		defer dlog.Close()
 	}
 
-	if exportURL != "" {
+	if cfg.exportURL != "" {
 		exp := telemetry.NewExporter(tel.Registry(), telemetry.ExporterOptions{
-			URL:      exportURL,
-			Interval: exportInterval,
-			Node:     listen,
+			URL:      cfg.exportURL,
+			Interval: cfg.exportInterval,
+			Node:     cfg.listen,
 			Version:  version.Version,
 			Extra: func() map[string]interface{} {
 				return map[string]interface{}{"slo": d.slo.Status()}
@@ -505,8 +271,8 @@ func run(args []string) error {
 		// (deferred closes run last-in-first-out).
 		defer d.persist.Close()
 	}
-	if clusterCfg.enabled() {
-		cr, err := setupCluster(d, clusterCfg, dataDir)
+	if cfg.cluster.enabled() {
+		cr, err := setupCluster(d, cfg.cluster, cfg.dataDir)
 		if err != nil {
 			return err
 		}
@@ -514,15 +280,15 @@ func run(args []string) error {
 		cr.start()
 		defer cr.Stop()
 	}
-	mux := d.routes(debug)
+	mux := d.routes(cfg.debug)
 
-	// The startup entry lands in the journal (first /logs line) and on
-	// stderr as a JSON log line.
+	// The startup entry lands in the journal (first /api/v1/logs line)
+	// and on stderr as a JSON log line.
 	tel.Logger("mascd").Output(os.Stderr).Info("mascd starting",
-		"version", version.Version, "listen", listen,
+		"version", version.Version, "listen", cfg.listen,
 		"veps", strings.Join(gateway.VEPs(), ","))
 
-	ln, err := net.Listen("tcp", listen)
+	ln, err := net.Listen("tcp", cfg.listen)
 	if err != nil {
 		return err
 	}
@@ -549,6 +315,18 @@ func run(args []string) error {
 		}
 		return shutdownErr
 	}
+}
+
+// newRepository returns the daemon's PolicyRepository: every document
+// set loaded into it is compiled to the immutable decision IR and
+// swapped in atomically, so compile.Lookup on it is never nil.
+func newRepository(tel *telemetry.Telemetry) (*policy.Repository, error) {
+	repo := policy.NewRepository()
+	err := compile.Enable(repo, compile.Options{
+		Registry: tel.Registry(),
+		Journal:  tel.Logs(),
+	})
+	return repo, err
 }
 
 // daemon holds the running gateway's shared state for HTTP handlers.
@@ -598,13 +376,6 @@ func (d *daemon) routes(debug bool) *http.ServeMux {
 	mux.Handle("/process/", proc)
 	// Direct endpoints: /svc/<address suffix>, e.g. /svc/scm/retailer-a.
 	mux.Handle("/svc/", directHandler(d.network))
-	mux.Handle("/metrics", telemetry.MetricsHandler(d.tel.Registry()))
-	mux.Handle("/traces", telemetry.TracesHandler(d.tel.Traces(), d.tel.Logs()))
-	mux.Handle("/traces/", telemetry.TracesHandler(d.tel.Traces(), d.tel.Logs()))
-	mux.Handle("/logs", telemetry.JournalHandler(d.tel.Logs(), telemetry.KindLog, telemetry.KindAudit))
-	mux.Handle("/messages", telemetry.JournalHandler(d.tel.Logs(), telemetry.KindMessage))
-	mux.HandleFunc("/healthz", d.healthz)
-	mux.HandleFunc("/readyz", d.readyz)
 	d.apiRoutes(mux)
 	if d.cluster != nil {
 		d.cluster.mount(mux)
@@ -685,10 +456,6 @@ func (d *daemon) latencyQuantiles() []vepLatency {
 // what is deployed, and how fast the VEPs are serving.
 func (d *daemon) healthz(w http.ResponseWriter, _ *http.Request) {
 	mon, adapt := d.repo.Counts()
-	policyRevision := ""
-	if cs := compile.Lookup(d.repo); cs != nil {
-		policyRevision = cs.Manifest.Revision
-	}
 	status := struct {
 		Status             string         `json:"status"`
 		Version            string         `json:"version"`
@@ -709,7 +476,7 @@ func (d *daemon) healthz(w http.ResponseWriter, _ *http.Request) {
 		Version:            version.Version,
 		UptimeSeconds:      time.Since(d.start).Seconds(),
 		VEPs:               d.gateway.VEPs(),
-		PolicyRevision:     policyRevision,
+		PolicyRevision:     compile.Lookup(d.repo).Manifest.Revision,
 		PolicyDocuments:    d.repo.Documents(),
 		MonitoringPolicies: mon,
 		AdaptationPolicies: adapt,
@@ -821,8 +588,8 @@ func writeJSON(w http.ResponseWriter, code int, v interface{}) {
 // vepHandler serves SOAP posts addressed to /vep/<name> through the
 // bus, and publishes each VEP's abstract contract on GET ?wsdl ("a VEP
 // ... exposes an abstract WSDL for accessing the configured services").
-// Every mediated request starts a trace, so /traces shows the gateway →
-// VEP → attempt span tree with recovery annotations.
+// Every mediated request starts a trace, so /api/v1/traces shows the
+// gateway → VEP → attempt span tree with recovery annotations.
 func vepHandler(gateway *bus.Bus, tel *telemetry.Telemetry) http.Handler {
 	soapHandler := &transport.HTTPHandler{Service: transport.HandlerFunc(
 		func(ctx context.Context, req *soap.Envelope) (*soap.Envelope, error) {

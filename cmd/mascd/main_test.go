@@ -12,7 +12,6 @@ import (
 
 	"github.com/masc-project/masc/internal/bus"
 	"github.com/masc-project/masc/internal/policy"
-	"github.com/masc-project/masc/internal/policy/compile"
 	"github.com/masc-project/masc/internal/scm"
 	"github.com/masc-project/masc/internal/soap"
 	"github.com/masc-project/masc/internal/telemetry"
@@ -26,6 +25,20 @@ func testGateway(t *testing.T) (*bus.Bus, *transport.Network) {
 	return d.gateway, d.network
 }
 
+// testRepository mirrors run(): the daemon's compiling repository,
+// holding one policy document.
+func testRepository(t *testing.T, tel *telemetry.Telemetry, policyXML string) *policy.Repository {
+	t.Helper()
+	repo, err := newRepository(tel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := repo.LoadXML(policyXML); err != nil {
+		t.Fatal(err)
+	}
+	return repo
+}
+
 func testDaemon(t *testing.T) *daemon {
 	t.Helper()
 	network := transport.NewNetwork()
@@ -34,14 +47,7 @@ func testDaemon(t *testing.T) *daemon {
 		t.Fatal(err)
 	}
 	tel := telemetry.New(0)
-	// The compiler is the production default; testDaemon mirrors run().
-	repo := policy.NewRepository()
-	if err := compile.Enable(repo, compile.Options{Registry: tel.Registry(), Journal: tel.Logs()}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := repo.LoadXML(defaultPolicies); err != nil {
-		t.Fatal(err)
-	}
+	repo := testRepository(t, tel, defaultPolicies)
 	gateway := bus.New(network, bus.WithPolicyRepository(repo), bus.WithTelemetry(tel))
 	if _, err := gateway.CreateVEP(bus.VEPConfig{
 		Name:     "Retailer",
@@ -145,6 +151,11 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-policies", "/does/not/exist.xml"}); err == nil {
 		t.Fatal("missing policy file accepted")
 	}
+	// A mistyped -sync is rejected even without -data-dir, where the
+	// mode would never reach the store.
+	if err := run([]string{"-sync", "bogus"}); err == nil || !strings.Contains(err.Error(), "-sync") {
+		t.Fatalf("-sync bogus: err = %v", err)
+	}
 }
 
 func TestVEPHandlerPublishesWSDL(t *testing.T) {
@@ -204,7 +215,7 @@ func TestMetricsEndpointAfterTraffic(t *testing.T) {
 		t.Fatalf("fault: %v", resp.Fault)
 	}
 
-	hr, err := srv.Client().Get(srv.URL + "/metrics")
+	hr, err := srv.Client().Get(srv.URL + "/api/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +245,7 @@ func TestTracesEndpointShowsSpanTree(t *testing.T) {
 	defer srv.Close()
 	postCatalog(t, srv)
 
-	hr, err := srv.Client().Get(srv.URL + "/traces")
+	hr, err := srv.Client().Get(srv.URL + "/api/v1/traces")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +258,7 @@ func TestTracesEndpointShowsSpanTree(t *testing.T) {
 		t.Fatalf("summaries = %+v", summaries)
 	}
 
-	hr2, err := srv.Client().Get(srv.URL + "/traces/" + summaries[0].ID)
+	hr2, err := srv.Client().Get(srv.URL + "/api/v1/traces/" + summaries[0].ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +279,7 @@ func TestTracesEndpointShowsSpanTree(t *testing.T) {
 	}
 
 	// Unknown trace → 404.
-	hr3, err := srv.Client().Get(srv.URL + "/traces/trace-999999")
+	hr3, err := srv.Client().Get(srv.URL + "/api/v1/traces/trace-999999")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +294,7 @@ func TestHealthzJSON(t *testing.T) {
 	srv := httptest.NewServer(d.routes(false))
 	defer srv.Close()
 
-	hr, err := srv.Client().Get(srv.URL + "/healthz")
+	hr, err := srv.Client().Get(srv.URL + "/api/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +329,7 @@ func TestHealthzReportsVersionAndLatency(t *testing.T) {
 	defer srv.Close()
 	postCatalog(t, srv)
 
-	hr, err := srv.Client().Get(srv.URL + "/healthz")
+	hr, err := srv.Client().Get(srv.URL + "/api/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +371,7 @@ func TestReadyzReflectsBackendQoS(t *testing.T) {
 	defer srv.Close()
 
 	// Before traffic: unmeasured backends are assumed healthy.
-	hr, err := srv.Client().Get(srv.URL + "/readyz")
+	hr, err := srv.Client().Get(srv.URL + "/api/v1/readyz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +381,7 @@ func TestReadyzReflectsBackendQoS(t *testing.T) {
 	}
 
 	postCatalog(t, srv)
-	hr2, err := srv.Client().Get(srv.URL + "/readyz")
+	hr2, err := srv.Client().Get(srv.URL + "/api/v1/readyz")
 	if err != nil {
 		t.Fatal(err)
 	}

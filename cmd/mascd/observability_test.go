@@ -32,11 +32,8 @@ func testObservabilityDaemon(t *testing.T) (*daemon, *flightrec.Recorder) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	repo := policy.NewRepository()
-	if _, err := repo.LoadXML(defaultPolicies); err != nil {
-		t.Fatal(err)
-	}
 	tel := telemetry.New(64)
+	repo := testRepository(t, tel, defaultPolicies)
 	events := event.NewBus()
 	gateway := bus.New(network,
 		bus.WithPolicyRepository(repo),
@@ -142,7 +139,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 
 	// Readiness degrades with the SLO reason.
-	hr2, err := srv.Client().Get(srv.URL + "/readyz")
+	hr2, err := srv.Client().Get(srv.URL + "/api/v1/readyz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +249,7 @@ func TestReadyzDegradedWhenAllBreakersOpen(t *testing.T) {
 
 	srv := httptest.NewServer(d.routes(false))
 	defer srv.Close()
-	hr, err := srv.Client().Get(srv.URL + "/readyz")
+	hr, err := srv.Client().Get(srv.URL + "/api/v1/readyz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +336,7 @@ func TestObservabilityEndpointsNilSafe(t *testing.T) {
 	}
 
 	// readyz stays 200 with no SLO engine and healthy backends.
-	hr4, err := srv.Client().Get(srv.URL + "/readyz")
+	hr4, err := srv.Client().Get(srv.URL + "/api/v1/readyz")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"github.com/masc-project/masc/internal/bus"
-	"github.com/masc-project/masc/internal/policy"
 	"github.com/masc-project/masc/internal/scm"
 	"github.com/masc-project/masc/internal/store"
 	"github.com/masc-project/masc/internal/telemetry"
@@ -27,11 +26,8 @@ func persistentDaemon(t *testing.T, dir string) *daemon {
 	if err != nil {
 		t.Fatal(err)
 	}
-	repo := policy.NewRepository()
-	if _, err := repo.LoadXML(defaultPolicies); err != nil {
-		t.Fatal(err)
-	}
 	tel := telemetry.New(0)
+	repo := testRepository(t, tel, defaultPolicies)
 	d := &daemon{
 		network: network,
 		repo:    repo,

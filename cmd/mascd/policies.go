@@ -26,8 +26,7 @@ type policyDocInfo struct {
 // policiesPage is the GET /api/v1/policies response: the published
 // bundle (revision, compile time) and every loaded document.
 type policiesPage struct {
-	// Mode is "compiled" when the decision IR serves evaluations,
-	// "interpreter" when the repository tree-walks policies per call.
+	// Mode is always "compiled": the decision IR serves evaluations.
 	Mode       string          `json:"mode"`
 	Revision   string          `json:"revision,omitempty"`
 	CompiledAt *time.Time      `json:"compiled_at,omitempty"`
@@ -46,8 +45,8 @@ func docInfoFromStatus(ds *compile.DocStatus) policyDocInfo {
 	}
 }
 
-// docInfoFromDocument summarizes a raw document (interpreter mode, or
-// a GET on one document): hash and lint run on demand.
+// docInfoFromDocument summarizes one raw document (a GET or PUT on it):
+// hash and lint run on demand.
 func docInfoFromDocument(doc *policy.Document) policyDocInfo {
 	info := policyDocInfo{
 		Name:        doc.Name,
@@ -62,24 +61,17 @@ func docInfoFromDocument(doc *policy.Document) policyDocInfo {
 	return info
 }
 
-// policiesStatus builds the current listing from the live compiled set
-// when one is published, or from the raw repository otherwise.
+// policiesStatus builds the current listing from the live compiled set.
 func (d *daemon) policiesStatus() policiesPage {
-	if cs := compile.Lookup(d.repo); cs != nil {
-		page := policiesPage{
-			Mode:       "compiled",
-			Revision:   cs.Manifest.Revision,
-			CompiledAt: &cs.Manifest.CompiledAt,
-			Documents:  []policyDocInfo{},
-		}
-		for _, ds := range cs.Docs() {
-			page.Documents = append(page.Documents, docInfoFromStatus(ds))
-		}
-		return page
+	cs := compile.Lookup(d.repo)
+	page := policiesPage{
+		Mode:       "compiled",
+		Revision:   cs.Manifest.Revision,
+		CompiledAt: &cs.Manifest.CompiledAt,
+		Documents:  []policyDocInfo{},
 	}
-	page := policiesPage{Mode: "interpreter", Documents: []policyDocInfo{}}
-	for _, doc := range d.repo.Snapshot() {
-		page.Documents = append(page.Documents, docInfoFromDocument(doc))
+	for _, ds := range cs.Docs() {
+		page.Documents = append(page.Documents, docInfoFromStatus(ds))
 	}
 	return page
 }
@@ -182,7 +174,7 @@ func (d *daemon) policyPut(w http.ResponseWriter, r *http.Request, name string) 
 	if err != nil {
 		d.auditPolicyChange(r, "put", name, "rejected: "+err.Error())
 		writeJSON(w, http.StatusUnprocessableEntity, errorEnvelope{Error: errorBody{
-			Code:        errorCode(http.StatusUnprocessableEntity),
+			Code:        telemetry.ErrorCode(http.StatusUnprocessableEntity),
 			Message:     "document does not parse",
 			Diagnostics: []compile.Diagnostic{compile.ErrorDiagnostic(err)},
 		}})
@@ -197,7 +189,7 @@ func (d *daemon) policyPut(w http.ResponseWriter, r *http.Request, name string) 
 	if compile.HasErrors(diags) {
 		d.auditPolicyChange(r, "put", name, "rejected: validation failed")
 		writeJSON(w, http.StatusUnprocessableEntity, errorEnvelope{Error: errorBody{
-			Code:        errorCode(http.StatusUnprocessableEntity),
+			Code:        telemetry.ErrorCode(http.StatusUnprocessableEntity),
 			Message:     "document failed validation; previous policy set keeps serving",
 			Diagnostics: diags,
 		}})
@@ -206,7 +198,7 @@ func (d *daemon) policyPut(w http.ResponseWriter, r *http.Request, name string) 
 	if err := d.repo.Load(doc); err != nil {
 		d.auditPolicyChange(r, "put", name, "rejected: "+err.Error())
 		writeJSON(w, http.StatusUnprocessableEntity, errorEnvelope{Error: errorBody{
-			Code:        errorCode(http.StatusUnprocessableEntity),
+			Code:        telemetry.ErrorCode(http.StatusUnprocessableEntity),
 			Message:     "document failed to compile; previous policy set keeps serving",
 			Diagnostics: []compile.Diagnostic{compile.ErrorDiagnostic(err)},
 		}})
@@ -252,7 +244,7 @@ func (d *daemon) policyReload(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		d.auditPolicyChange(r, "reload", d.policyDir, "rejected: "+err.Error())
 		writeJSON(w, http.StatusUnprocessableEntity, errorEnvelope{Error: errorBody{
-			Code:        errorCode(http.StatusUnprocessableEntity),
+			Code:        telemetry.ErrorCode(http.StatusUnprocessableEntity),
 			Message:     "bundle failed to load; previous policy set keeps serving",
 			Diagnostics: []compile.Diagnostic{compile.ErrorDiagnostic(err)},
 		}})
@@ -270,7 +262,7 @@ func (d *daemon) policyReload(w http.ResponseWriter, r *http.Request) {
 	if len(diags) > 0 {
 		d.auditPolicyChange(r, "reload", d.policyDir, "rejected: validation failed")
 		writeJSON(w, http.StatusUnprocessableEntity, errorEnvelope{Error: errorBody{
-			Code:        errorCode(http.StatusUnprocessableEntity),
+			Code:        telemetry.ErrorCode(http.StatusUnprocessableEntity),
 			Message:     "bundle failed validation; previous policy set keeps serving",
 			Diagnostics: diags,
 		}})
@@ -279,7 +271,7 @@ func (d *daemon) policyReload(w http.ResponseWriter, r *http.Request) {
 	if err := d.repo.ReplaceAll(bundle.Docs); err != nil {
 		d.auditPolicyChange(r, "reload", d.policyDir, "rejected: "+err.Error())
 		writeJSON(w, http.StatusUnprocessableEntity, errorEnvelope{Error: errorBody{
-			Code:        errorCode(http.StatusUnprocessableEntity),
+			Code:        telemetry.ErrorCode(http.StatusUnprocessableEntity),
 			Message:     "bundle failed to compile; previous policy set keeps serving",
 			Diagnostics: []compile.Diagnostic{compile.ErrorDiagnostic(err)},
 		}})

@@ -28,11 +28,8 @@ func timelineDaemon(t *testing.T, dir string) *daemon {
 	if err != nil {
 		t.Fatal(err)
 	}
-	repo := policy.NewRepository()
-	if _, err := repo.LoadXML(e2ePolicies); err != nil {
-		t.Fatal(err)
-	}
 	tel := telemetry.New(0)
+	repo := testRepository(t, tel, e2ePolicies)
 	dec := decision.NewRecorder(0, tel.Registry())
 	d := &daemon{
 		network:   network,

@@ -5,9 +5,6 @@
 //	scmbench -figure5     # Figure 5: RTT vs request size, direct vs wsBus
 //	scmbench -throughput  # throughput sweep (§3.2 metric)
 //	scmbench -hedge       # hedged invocation vs plain: tail latency under QoS degradation
-//	scmbench -persist     # durable checkpointing: throughput vs store fsync policy
-//	scmbench -policybench # policy evaluation: tree interpreter vs compiled decision IR
-//	scmbench -cluster     # multi-node scaling: sharded gateways at 1/2/4 nodes over loopback
 //	scmbench -ablations   # retry budget, strategy, policy-reparse, listener
 //	scmbench -all         # everything
 //
@@ -38,9 +35,6 @@ func main() {
 		figure5    = flag.Bool("figure5", false, "run the Figure 5 RTT-vs-size experiment")
 		throughput = flag.Bool("throughput", false, "run the throughput sweep")
 		hedge      = flag.Bool("hedge", false, "run the hedged-invocation tail-latency comparison")
-		persist    = flag.Bool("persist", false, "run the durable-store fsync overhead comparison")
-		policyb    = flag.Bool("policybench", false, "run the policy-evaluation microbenchmark (interpreter vs compiled IR)")
-		clusterb   = flag.Bool("cluster", false, "run the multi-node scaling sweep (1/2/4 sharded gateway nodes)")
 		ablations  = flag.Bool("ablations", false, "run the ablation studies")
 		all        = flag.Bool("all", false, "run everything")
 		requests   = flag.Int("requests", 0, "requests per configuration (0 = default)")
@@ -49,7 +43,7 @@ func main() {
 		benchJSON  = flag.String("bench-json", "", "write all results as one JSON file (default $MASC_BENCH_JSON)")
 	)
 	flag.Parse()
-	if !*table1 && !*figure5 && !*throughput && !*hedge && !*persist && !*policyb && !*clusterb && !*ablations && !*all {
+	if !*table1 && !*figure5 && !*throughput && !*hedge && !*ablations && !*all {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -57,7 +51,7 @@ func main() {
 	if jsonPath == "" {
 		jsonPath = os.Getenv("MASC_BENCH_JSON")
 	}
-	if err := run(*table1 || *all, *figure5 || *all, *throughput || *all, *hedge || *all, *persist || *all, *policyb || *all, *clusterb || *all, *ablations || *all, *requests, *seed, *csvDir, jsonPath); err != nil {
+	if err := run(*table1 || *all, *figure5 || *all, *throughput || *all, *hedge || *all, *ablations || *all, *requests, *seed, *csvDir, jsonPath); err != nil {
 		fmt.Fprintln(os.Stderr, "scmbench:", err)
 		os.Exit(1)
 	}
@@ -67,20 +61,16 @@ func main() {
 // Sections are present only for the experiments that ran; durations
 // serialize as nanoseconds (time.Duration's JSON form).
 type benchReport struct {
-	Version    string                         `json:"version"`
-	Requests   int                            `json:"requests"`
-	Seed       int64                          `json:"seed"`
-	Table1     []experiments.Table1Row        `json:"table1,omitempty"`
-	Figure5    []experiments.Figure5Point     `json:"figure5,omitempty"`
-	Throughput []experiments.ThroughputPoint  `json:"throughput,omitempty"`
-	Hedge      []experiments.HedgePoint       `json:"hedge,omitempty"`
-	Persist    []experiments.PersistPoint     `json:"persist,omitempty"`
-	Policy     []experiments.PolicyBenchPoint `json:"policy,omitempty"`
-	Cluster    []experiments.ClusterPoint     `json:"cluster,omitempty"`
-	Ablations  *ablationReport                `json:"ablations,omitempty"`
+	Version    string                        `json:"version"`
+	Requests   int                           `json:"requests"`
+	Seed       int64                         `json:"seed"`
+	Table1     []experiments.Table1Row       `json:"table1,omitempty"`
+	Figure5    []experiments.Figure5Point    `json:"figure5,omitempty"`
+	Throughput []experiments.ThroughputPoint `json:"throughput,omitempty"`
+	Hedge      []experiments.HedgePoint      `json:"hedge,omitempty"`
+	Ablations  *ablationReport               `json:"ablations,omitempty"`
 	// Runtime captures the bench process's allocation and GC pressure
-	// across the whole run, so BENCH_*.json tracks hot-path allocation
-	// regressions alongside throughput.
+	// across the whole run.
 	Runtime *runtimeReport `json:"runtime,omitempty"`
 }
 
@@ -98,7 +88,7 @@ type ablationReport struct {
 	Listener   []experiments.ListenerPoint   `json:"listener"`
 }
 
-func run(table1, figure5, throughput, hedge, persist, policybench, clusterb, ablations bool, requests int, seed int64, csvDir, jsonPath string) error {
+func run(table1, figure5, throughput, hedge, ablations bool, requests int, seed int64, csvDir, jsonPath string) error {
 	writeCSV := func(name string, write func(io.Writer) error) error {
 		if csvDir == "" {
 			return nil
@@ -165,45 +155,6 @@ func run(table1, figure5, throughput, hedge, persist, policybench, clusterb, abl
 		report.Hedge = points
 		if err := writeCSV("hedge.csv", func(w io.Writer) error {
 			return experiments.WriteHedgeCSV(w, points)
-		}); err != nil {
-			return err
-		}
-	}
-	if persist {
-		points, err := experiments.RunPersistComparison(experiments.PersistConfig{Instances: requests, Seed: seed})
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatPersist(points))
-		report.Persist = points
-		if err := writeCSV("persist.csv", func(w io.Writer) error {
-			return experiments.WritePersistCSV(w, points)
-		}); err != nil {
-			return err
-		}
-	}
-	if policybench {
-		points, err := experiments.RunPolicyBench(experiments.PolicyBenchConfig{Decisions: requests, Seed: seed})
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatPolicyBench(points))
-		report.Policy = points
-		if err := writeCSV("policybench.csv", func(w io.Writer) error {
-			return experiments.WritePolicyBenchCSV(w, points)
-		}); err != nil {
-			return err
-		}
-	}
-	if clusterb {
-		points, err := experiments.RunCluster(experiments.ClusterConfig{RequestsPerWorker: requests, Seed: seed})
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatCluster(points))
-		report.Cluster = points
-		if err := writeCSV("cluster.csv", func(w io.Writer) error {
-			return experiments.WriteClusterCSV(w, points)
 		}); err != nil {
 			return err
 		}

@@ -12,7 +12,7 @@ func TestRunSmallTable1(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment run")
 	}
-	if err := run(true, false, false, false, false, false, false, false, 200, 7, t.TempDir(), ""); err != nil {
+	if err := run(true, false, false, false, false, 200, 7, t.TempDir(), ""); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -21,7 +21,7 @@ func TestRunSmallFigure5AndThroughput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment run")
 	}
-	if err := run(false, true, true, false, false, false, false, false, 40, 7, "", ""); err != nil {
+	if err := run(false, true, true, false, false, 40, 7, "", ""); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -31,7 +31,7 @@ func TestRunWritesBenchJSON(t *testing.T) {
 		t.Skip("experiment run")
 	}
 	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := run(true, false, true, false, false, false, false, false, 40, 7, "", path); err != nil {
+	if err := run(true, false, true, false, false, 40, 7, "", path); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)

@@ -79,45 +79,6 @@ func WriteHedgeCSV(w io.Writer, points []HedgePoint) error {
 	return cw.Error()
 }
 
-// WritePersistCSV emits the durability-overhead comparison as CSV.
-func WritePersistCSV(w io.Writer, points []PersistPoint) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"mode", "instances", "failures", "throughput_ips", "overhead_pct", "mean_us", "p50_us", "p95_us", "wal_bytes", "records", "fsyncs", "fsync_p50_us", "fsync_p99_us", "commit_batch_mean", "checkpoints", "checkpoint_bytes_mean", "full_checkpoints", "delta_checkpoints", "decision_evals", "decision_matches", "alloc_bytes", "gc_pause_ns"}); err != nil {
-		return err
-	}
-	for _, p := range points {
-		rec := []string{
-			p.Mode,
-			strconv.Itoa(p.Instances),
-			strconv.Itoa(p.Failures),
-			fmt.Sprintf("%.1f", p.Throughput),
-			fmt.Sprintf("%.2f", p.OverheadPct),
-			strconv.FormatInt(p.Mean.Microseconds(), 10),
-			strconv.FormatInt(p.P50.Microseconds(), 10),
-			strconv.FormatInt(p.P95.Microseconds(), 10),
-			strconv.FormatInt(p.WALBytes, 10),
-			strconv.FormatUint(p.Records, 10),
-			strconv.FormatUint(p.Fsyncs, 10),
-			strconv.FormatInt(p.FsyncP50.Microseconds(), 10),
-			strconv.FormatInt(p.FsyncP99.Microseconds(), 10),
-			fmt.Sprintf("%.1f", p.CommitBatchMean),
-			strconv.FormatUint(p.Checkpoints, 10),
-			fmt.Sprintf("%.0f", p.CheckpointBytesMean),
-			strconv.FormatUint(p.FullCheckpoints, 10),
-			strconv.FormatUint(p.DeltaCheckpoints, 10),
-			strconv.FormatUint(p.DecisionEvals, 10),
-			strconv.FormatUint(p.DecisionMatches, 10),
-			strconv.FormatUint(p.Runtime.AllocBytes, 10),
-			strconv.FormatUint(p.Runtime.GCPauseNS, 10),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
 // WriteThroughputCSV emits the throughput sweep as CSV.
 func WriteThroughputCSV(w io.Writer, points []ThroughputPoint) error {
 	cw := csv.NewWriter(w)
@@ -130,31 +91,6 @@ func WriteThroughputCSV(w io.Writer, points []ThroughputPoint) error {
 			fmt.Sprintf("%.1f", p.DirectRPS),
 			fmt.Sprintf("%.1f", p.BusRPS),
 			fmt.Sprintf("%.2f", p.OverheadPct),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// WritePolicyBenchCSV emits the policy-evaluation comparison as CSV.
-func WritePolicyBenchCSV(w io.Writer, points []PolicyBenchPoint) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"mode", "decisions", "policies", "mean_ns", "p50_ns", "p95_ns", "p99_ns", "decisions_per_sec"}); err != nil {
-		return err
-	}
-	for _, p := range points {
-		rec := []string{
-			p.Mode,
-			strconv.Itoa(p.Decisions),
-			strconv.Itoa(p.Policies),
-			strconv.FormatInt(p.Mean.Nanoseconds(), 10),
-			strconv.FormatInt(p.P50.Nanoseconds(), 10),
-			strconv.FormatInt(p.P95.Nanoseconds(), 10),
-			strconv.FormatInt(p.P99.Nanoseconds(), 10),
-			fmt.Sprintf("%.0f", p.DecisionsPerSec),
 		}
 		if err := cw.Write(rec); err != nil {
 			return err

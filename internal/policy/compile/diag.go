@@ -14,10 +14,9 @@
 // read the current CompiledSet through one atomic load (Lookup) without
 // taking the repository lock.
 //
-// The tree-walking interpreter remains both the escape hatch
-// (mascd -policy-interp) and the oracle: the differential tests in this
-// package replay identical workloads through both evaluators and
-// require identical decision-provenance records.
+// The tree-walking interpreter remains as the oracle: the differential
+// tests in this package replay identical workloads through both
+// evaluators and require identical decision-provenance records.
 package compile
 
 import "fmt"

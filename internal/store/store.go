@@ -14,7 +14,7 @@ import (
 )
 
 // SyncMode selects the WAL durability/throughput trade-off — the knob
-// benchmarked by `scmbench -persist` (EXPERIMENTS.md E10).
+// measured in EXPERIMENTS.md E10.
 type SyncMode int
 
 const (

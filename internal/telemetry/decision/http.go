@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"strconv"
 	"time"
+
+	"github.com/masc-project/masc/internal/telemetry"
 )
 
 // DefaultPageLimit bounds how many records Handler returns when the
@@ -26,7 +28,7 @@ type Page struct {
 func Handler(r *Recorder) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		if req.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+			telemetry.WriteError(w, http.StatusMethodNotAllowed, "method not allowed")
 			return
 		}
 		q := Query{
@@ -42,7 +44,7 @@ func Handler(r *Recorder) http.Handler {
 		if s := req.URL.Query().Get("since"); s != "" {
 			t, err := time.Parse(time.RFC3339, s)
 			if err != nil {
-				http.Error(w, "bad since: "+err.Error(), http.StatusBadRequest)
+				telemetry.WriteError(w, http.StatusBadRequest, "bad since: "+err.Error())
 				return
 			}
 			q.Since = t
@@ -50,7 +52,7 @@ func Handler(r *Recorder) http.Handler {
 		if s := req.URL.Query().Get("limit"); s != "" {
 			n, err := strconv.Atoi(s)
 			if err != nil || n <= 0 {
-				http.Error(w, "bad limit", http.StatusBadRequest)
+				telemetry.WriteError(w, http.StatusBadRequest, "bad limit")
 				return
 			}
 			q.Limit = n

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -12,6 +13,40 @@ import (
 // DefaultJournalPageLimit bounds journal responses when the caller
 // sends no ?limit=.
 const DefaultJournalPageLimit = 200
+
+// ErrorCode maps an HTTP status to the error envelope's code slug.
+func ErrorCode(status int) string {
+	switch status {
+	case http.StatusBadRequest:
+		return "bad_request"
+	case http.StatusNotFound:
+		return "not_found"
+	case http.StatusMethodNotAllowed:
+		return "method_not_allowed"
+	case http.StatusUnprocessableEntity:
+		return "unprocessable"
+	case http.StatusServiceUnavailable:
+		return "unavailable"
+	case http.StatusInternalServerError:
+		return "internal"
+	default:
+		return fmt.Sprintf("http_%d", status)
+	}
+}
+
+// WriteError answers with status and the management API's one error
+// shape, {"error": {"code": ..., "message": ...}}. Every management
+// handler — here, in telemetry/decision, and in mascd — reports its
+// errors through it.
+func WriteError(w http.ResponseWriter, status int, msg string) {
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	w.WriteHeader(status)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(map[string]map[string]string{
+		"error": {"code": ErrorCode(status), "message": msg},
+	})
+}
 
 // MetricsHandler serves the registry in the Prometheus text exposition
 // format (the /metrics endpoint).
@@ -56,10 +91,13 @@ func findConversation(v SpanView) string {
 // TracesHandler serves recorded traces as JSON: the bare path lists
 // trace summaries (newest first); "<path>/{id}" returns one full span
 // tree plus links to the trace's journal entries (pass a nil journal
-// to omit them). Mount it at both "/traces" and "/traces/".
+// to omit them). Mount it at both "<base>/traces" and
+// "<base>/traces/"; the journal links point at "<base>/logs" and
+// "<base>/messages", the siblings it is mounted beside.
 func TracesHandler(t *Tracer, j *Journal) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		id := strings.Trim(strings.TrimPrefix(req.URL.Path, "/traces"), "/")
+		base, id, _ := strings.Cut(req.URL.Path, "/traces")
+		id = strings.Trim(id, "/")
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
@@ -69,21 +107,21 @@ func TracesHandler(t *Tracer, j *Journal) http.Handler {
 		}
 		view, ok := t.Trace(id)
 		if !ok {
-			http.Error(w, `{"error":"unknown trace"}`, http.StatusNotFound)
+			WriteError(w, http.StatusNotFound, "unknown trace")
 			return
 		}
 		det := TraceDetail{TraceView: view}
 		if j != nil {
 			det.JournalEntries = j.CountTrace(id)
-			det.LogsURL = "/logs?trace=" + url.QueryEscape(id)
-			det.MessagesURL = "/messages?trace=" + url.QueryEscape(id)
+			det.LogsURL = base + "/logs?trace=" + url.QueryEscape(id)
+			det.MessagesURL = base + "/messages?trace=" + url.QueryEscape(id)
 			// When the exchange recorded a conversation ID, link by it
 			// instead: it also matches entries that carry no trace
 			// context (e.g. the monitor's audit records).
 			if conv := findConversation(view.Root); conv != "" {
 				det.Conversation = conv
-				det.LogsURL = "/logs?conversation=" + url.QueryEscape(conv)
-				det.MessagesURL = "/messages?conversation=" + url.QueryEscape(conv)
+				det.LogsURL = base + "/logs?conversation=" + url.QueryEscape(conv)
+				det.MessagesURL = base + "/messages?conversation=" + url.QueryEscape(conv)
 			}
 		}
 		_ = enc.Encode(det)
@@ -116,7 +154,7 @@ func JournalHandler(j *Journal, kinds ...Kind) http.Handler {
 		if lv := p.Get("level"); lv != "" {
 			l, ok := ParseLevel(lv)
 			if !ok {
-				http.Error(w, `{"error":"unknown level"}`, http.StatusBadRequest)
+				WriteError(w, http.StatusBadRequest, "unknown level")
 				return
 			}
 			q.MinLevel = l
@@ -124,7 +162,7 @@ func JournalHandler(j *Journal, kinds ...Kind) http.Handler {
 		if s := p.Get("since"); s != "" {
 			ts, err := time.Parse(time.RFC3339, s)
 			if err != nil {
-				http.Error(w, `{"error":"since must be RFC 3339"}`, http.StatusBadRequest)
+				WriteError(w, http.StatusBadRequest, "since must be RFC 3339")
 				return
 			}
 			q.Since = ts
@@ -146,7 +184,7 @@ func JournalHandler(j *Journal, kinds ...Kind) http.Handler {
 		if l := p.Get("limit"); l != "" {
 			n, err := strconv.Atoi(l)
 			if err != nil || n < 0 {
-				http.Error(w, `{"error":"limit must be a non-negative integer"}`, http.StatusBadRequest)
+				WriteError(w, http.StatusBadRequest, "limit must be a non-negative integer")
 				return
 			}
 			q.Limit = n

@@ -10,14 +10,11 @@ import (
 )
 
 // Checkpoint value format (format v2, docs/persistence.md §"Checkpoint
-// value format"). A stored instance checkpoint is either:
-//
-//   - v1: a bare instanceSnapshot XML document (first byte '<'), the
-//     format written before delta checkpointing existed, or
-//   - v2: ckptMagic followed by a chain of chunks, each
-//     `kind byte | uvarint length | payload`. The first chunk of a
-//     chain is a full-snapshot anchor; later chunks are deltas
-//     appended by the persistence service via the store's append op.
+// value format"). A stored instance checkpoint is ckptMagic followed
+// by a chain of chunks, each `kind byte | uvarint length | payload`.
+// The first chunk of a chain is a full-snapshot anchor; later chunks
+// are deltas appended by the persistence service via the store's
+// append op. A value that does not start with ckptMagic is rejected.
 //
 // Decoding replays the chain left to right; a truncated trailing chunk
 // (torn mid-delta crash) is dropped and the prefix wins.
@@ -226,23 +223,15 @@ func encodeCheckpoint(d ckptDelta) ([]byte, error) {
 	return append(buf, body...), nil
 }
 
-// DecodeCheckpoint decodes a stored instance-checkpoint value — v1
-// (bare instanceSnapshot XML) or v2 (anchor + delta chain) — into the
-// equivalent instanceSnapshot document, the form Engine.Restore
-// consumes. A truncated trailing chunk (the shape a crash mid-append
-// leaves after WAL truncation of an unrelated later record) is
-// dropped: the chain prefix is a consistent earlier checkpoint.
+// DecodeCheckpoint decodes a stored instance-checkpoint value (anchor
+// + delta chain) into the equivalent instanceSnapshot document, the
+// form Engine.Restore consumes. A truncated trailing chunk (the shape
+// a crash mid-append leaves after WAL truncation of an unrelated later
+// record) is dropped: the chain prefix is a consistent earlier
+// checkpoint.
 func DecodeCheckpoint(raw []byte) (*xmltree.Element, error) {
 	if len(raw) == 0 {
 		return nil, fmt.Errorf("%w: empty value", ErrBadCheckpoint)
-	}
-	if raw[0] == '<' {
-		// Format v1: the whole value is one XML document.
-		doc, err := xmltree.ParseString(string(raw))
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
-		}
-		return doc, nil
 	}
 	if raw[0] != ckptMagic {
 		return nil, fmt.Errorf("%w: unknown format byte 0x%02x", ErrBadCheckpoint, raw[0])

@@ -1,6 +1,7 @@
 package workflow
 
 import (
+	"errors"
 	"sort"
 	"strings"
 	"testing"
@@ -187,17 +188,14 @@ func TestDecodeCheckpointRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestDecodeCheckpointV1XML pins the upgrade path: values written by
-// the pre-delta format (bare instanceSnapshot XML) still decode.
+// TestDecodeCheckpointV1XML pins the single value format: a bare
+// instanceSnapshot XML document (what the pre-delta format stored) is
+// rejected like any other value that does not start with ckptMagic.
 func TestDecodeCheckpointV1XML(t *testing.T) {
 	v1 := `<instanceSnapshot xmlns="urn:masc:workflow" id="proc-3" definition="P" state="suspended">
 		<tree><noop name="n"/></tree></instanceSnapshot>`
-	doc, err := DecodeCheckpoint([]byte(v1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if doc.AttrValue("", "id") != "proc-3" || doc.AttrValue("", "state") != "suspended" {
-		t.Fatalf("v1 decode = %s", xmltree.MustMarshalString(doc))
+	if _, err := DecodeCheckpoint([]byte(v1)); !errors.Is(err, ErrBadCheckpoint) {
+		t.Fatalf("v1 decode err = %v, want ErrBadCheckpoint", err)
 	}
 }
 

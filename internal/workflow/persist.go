@@ -13,8 +13,8 @@ import (
 
 // SpaceInstances is the store space holding one checkpoint value per
 // process instance, keyed by instance ID. A value is a v2 delta chain
-// (anchor + appended deltas) or a legacy v1 XML document; see
-// docs/persistence.md and DecodeCheckpoint.
+// (anchor + appended deltas); see docs/persistence.md and
+// DecodeCheckpoint.
 const SpaceInstances = "instance"
 
 // PersistenceOptions tunes the checkpoint pipeline.
@@ -413,9 +413,8 @@ type RecoveryReport struct {
 }
 
 // Recover rebuilds every non-terminal journaled instance into the
-// engine. Records decode through DecodeCheckpoint, so v1 XML values
-// and v2 delta chains (including chains with a torn trailing delta)
-// recover uniformly. Restored instances come back suspended at their
+// engine. Records decode through DecodeCheckpoint, so delta chains
+// with a torn trailing delta recover like intact ones. Restored instances come back suspended at their
 // last checkpoint; the caller (or the mascd resume API) releases them.
 func (p *PersistenceService) Recover(e *Engine) (RecoveryReport, error) {
 	var rep RecoveryReport

@@ -165,10 +165,18 @@ func TestRecoverySkipsTerminalAndGarbageRecords(t *testing.T) {
 
 	done := `<instanceSnapshot xmlns="urn:masc:workflow" id="proc-9" definition="P" state="completed">
 		<tree><noop name="n"/></tree></instanceSnapshot>`
-	if err := st.Put(SpaceInstances, "proc-9", []byte(done)); err != nil {
+	anchor, err := encodeCheckpoint(ckptDelta{full: xmltree.MustParseString(done)})
+	if err != nil {
 		t.Fatal(err)
 	}
+	if err := st.Put(SpaceInstances, "proc-9", anchor); err != nil {
+		t.Fatal(err)
+	}
+	// Garbage: free text, and a bare XML snapshot without the format byte.
 	if err := st.Put(SpaceInstances, "proc-bad", []byte("not xml at all")); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(SpaceInstances, "proc-v1", []byte(done)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -178,7 +186,7 @@ func TestRecoverySkipsTerminalAndGarbageRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Recovered) != 0 || rep.Terminal != 1 || rep.Failed != 1 {
+	if len(rep.Recovered) != 0 || rep.Terminal != 1 || rep.Failed != 2 {
 		t.Fatalf("report = %+v", rep)
 	}
 	if ids := e.Instances(); len(ids) != 0 {
