@@ -41,6 +41,10 @@ func main() {
 // inline links only.
 var linkPattern = regexp.MustCompile(`\[[^\]]*\]\(([^)\s]+)\)`)
 
+// codeSpan matches inline code, where markdown renders no links —
+// Go generics such as `New[T](n)` would otherwise read as one.
+var codeSpan = regexp.MustCompile("`[^`\n]*`")
+
 // docFiles returns the markdown set under check: everything in docs/
 // plus the top-level markdown files.
 func docFiles() ([]string, error) {
@@ -70,7 +74,8 @@ func checkLinks() []string {
 			problems = append(problems, err.Error())
 			continue
 		}
-		for _, m := range linkPattern.FindAllStringSubmatch(string(raw), -1) {
+		text := codeSpan.ReplaceAllString(string(raw), "")
+		for _, m := range linkPattern.FindAllStringSubmatch(text, -1) {
 			target := m[1]
 			if strings.HasPrefix(target, "http://") || strings.HasPrefix(target, "https://") ||
 				strings.HasPrefix(target, "mailto:") || strings.HasPrefix(target, "#") {

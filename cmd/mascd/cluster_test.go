@@ -41,7 +41,9 @@ type clusterTestNode struct {
 func bootCluster(t *testing.T, n int, heartbeat time.Duration) []*clusterTestNode {
 	t.Helper()
 	nodes := make([]*clusterTestNode, n)
-	handlers := make([]http.Handler, n)
+	// Booted peers heartbeat a node's server before its handler is
+	// ready, so the slot is published atomically.
+	handlers := make([]atomic.Pointer[http.ServeMux], n)
 	seeds := make([]cluster.NodeInfo, n)
 	for i := 0; i < n; i++ {
 		i := i
@@ -52,7 +54,7 @@ func bootCluster(t *testing.T, n int, heartbeat time.Duration) []*clusterTestNod
 		// The advertise URL must exist before the daemon boots, so the
 		// server routes through a late-bound handler.
 		nodes[i].srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			h := handlers[i]
+			h := handlers[i].Load()
 			if h == nil {
 				http.Error(w, "booting", http.StatusServiceUnavailable)
 				return
@@ -111,7 +113,7 @@ func bootCluster(t *testing.T, n int, heartbeat time.Duration) []*clusterTestNod
 		d.cluster = cr
 		tn.d, tn.cr = d, cr
 		cr.start()
-		handlers[i] = d.routes(false)
+		handlers[i].Store(d.routes(false))
 	}
 	t.Cleanup(func() {
 		for _, tn := range nodes {
@@ -386,9 +388,11 @@ func TestClusterFailoverSoak(t *testing.T) {
 	if tk := heir.cr.node.Takeovers(); tk[victim.id] != heir.id {
 		t.Fatalf("heir takeover table = %v", tk)
 	}
-	if tk := other.cr.node.Takeovers(); tk[victim.id] != heir.id {
-		t.Fatalf("survivor takeover table = %v", tk)
-	}
+	// The other survivor derives the table from its own failure
+	// detector, which may declare the victim dead a beat later.
+	waitUntil(t, 15*time.Second, "survivor takeover table names the heir", func() bool {
+		return other.cr.node.Takeovers()[victim.id] == heir.id
+	})
 	// A key that hashed to the victim still answers on a survivor.
 	var victimKey string
 	for i := 0; i < 10000; i++ {

@@ -122,11 +122,6 @@ func WithMonitor(m *monitor.Monitor) Option {
 	return func(b *Bus) { b.monitor = m }
 }
 
-// WithProcessAdapter installs the cross-layer process adapter.
-func WithProcessAdapter(pa ProcessAdapter) Option {
-	return func(b *Bus) { b.procAdapter = pa }
-}
-
 // WithSeed seeds randomized selection strategies for reproducibility.
 func WithSeed(seed int64) Option {
 	return func(b *Bus) { b.seed = seed }
@@ -144,12 +139,6 @@ func WithTelemetry(tel *telemetry.Telemetry) Option {
 // policies per decision (ablation hook; see DESIGN.md §5.1).
 func WithPolicySource(src func() *policy.Repository) Option {
 	return func(b *Bus) { b.policySource = src }
-}
-
-// WithInvocationObserver attaches an observer notified of every
-// mediated invocation's outcome (the SLO engine's feed).
-func WithInvocationObserver(o InvocationObserver) Option {
-	return func(b *Bus) { b.observer = o }
 }
 
 // WithDecisions attaches the decision-provenance recorder: protection

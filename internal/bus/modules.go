@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/masc-project/masc/internal/ringbuf"
 	"github.com/masc-project/masc/internal/soap"
 	"github.com/masc-project/masc/internal/wsdl"
 	"github.com/masc-project/masc/internal/xmltree"
@@ -108,11 +109,10 @@ type LogEntry struct {
 // business-level events" (§3.1(5)). It retains a bounded in-memory
 // log; MessageLogger is safe for concurrent use.
 type MessageLogger struct {
-	now   func() time.Time
-	limit int
+	now func() time.Time
 
 	mu      sync.Mutex
-	entries []LogEntry
+	entries *ringbuf.Buffer[LogEntry]
 }
 
 var _ Module = (*MessageLogger)(nil)
@@ -123,7 +123,7 @@ func NewMessageLogger(now func() time.Time, limit int) *MessageLogger {
 	if limit <= 0 {
 		limit = 4096
 	}
-	return &MessageLogger{now: now, limit: limit}
+	return &MessageLogger{now: now, entries: ringbuf.New[LogEntry](limit)}
 }
 
 // ModuleName implements Module.
@@ -160,10 +160,7 @@ func (l *MessageLogger) log(mc *MessageContext, dir wsdl.Direction, env *soap.En
 		Size:       size,
 	}
 	l.mu.Lock()
-	l.entries = append(l.entries, e)
-	if len(l.entries) > l.limit {
-		l.entries = append(l.entries[:0], l.entries[len(l.entries)-l.limit:]...)
-	}
+	l.entries.Push(e)
 	l.mu.Unlock()
 }
 
@@ -171,9 +168,7 @@ func (l *MessageLogger) log(mc *MessageContext, dir wsdl.Direction, env *soap.En
 func (l *MessageLogger) Entries() []LogEntry {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]LogEntry, len(l.entries))
-	copy(out, l.entries)
-	return out
+	return l.entries.Select(nil, 0)
 }
 
 // --- Contract validator ---

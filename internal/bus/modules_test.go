@@ -215,6 +215,29 @@ func TestMessageLoggerBounds(t *testing.T) {
 	}
 }
 
+// TestMessageLoggerEvictionWrapAround logs capacity+3 messages so the
+// write position wraps; the log keeps the newest, oldest first.
+func TestMessageLoggerEvictionWrapAround(t *testing.T) {
+	const capacity = 4
+	tick := 0
+	l := NewMessageLogger(func() time.Time {
+		tick++
+		return time.Unix(int64(tick), 0)
+	}, capacity)
+	for i := 0; i < capacity+3; i++ {
+		l.ProcessRequest(mcWith(t, `<getCatalog/>`)) //nolint:errcheck
+	}
+	got := l.Entries()
+	if len(got) != capacity {
+		t.Fatalf("entries = %d, want %d", len(got), capacity)
+	}
+	for i, e := range got {
+		if want := time.Unix(int64(4+i), 0); !e.Time.Equal(want) {
+			t.Fatalf("Entries()[%d].Time = %v, want %v", i, e.Time, want)
+		}
+	}
+}
+
 func TestAggregator(t *testing.T) {
 	a := NewAggregator(3, "urn:scm", "batch")
 	p1, _ := xmltree.ParseString(`<logEvent>one</logEvent>`)

@@ -595,29 +595,6 @@ func (v *VEP) recordAdaptDecision(ctx context.Context, pol *compile.CompiledAdap
 		return
 	}
 	span := telemetry.SpanFromContext(ctx)
-	var checks []decision.Assertion
-	if pol.StateBefore != "" {
-		a := decision.Assertion{Name: "state-before", Value: pol.StateBefore}
-		if reason == "state_mismatch" || reason == "no_process_state" {
-			a.Reason = reason
-		} else {
-			a.Matched = true
-		}
-		checks = append(checks, a)
-	}
-	if pol.Condition != nil {
-		a := decision.Assertion{Name: "condition", Value: pol.Condition.Source()}
-		switch {
-		case reason == "state_mismatch" || reason == "no_process_state":
-			a.Skipped = true
-			a.Reason = "short_circuit"
-		case reason != "":
-			a.Reason = reason
-		default:
-			a.Matched = true
-		}
-		checks = append(checks, a)
-	}
 	rec := decision.Record{
 		Time:         start,
 		Site:         decision.SiteBus,
@@ -638,7 +615,7 @@ func (v *VEP) recordAdaptDecision(ctx context.Context, pol *compile.CompiledAdap
 			"operation":  op,
 			"instanceID": instanceID,
 		},
-		Assertions: checks,
+		Assertions: pol.GateAssertions(reason, pol.StateBefore),
 		Latency:    v.bus.clk.Since(start),
 	}
 	if verdict == decision.VerdictMatched || verdict == decision.VerdictError {
@@ -660,32 +637,21 @@ func (v *VEP) protectionName() string {
 // gates hold; when they do not, the second return names the rejection
 // reason for the decision record.
 func (v *VEP) policyApplies(pol *compile.CompiledAdaptation, req *soap.Envelope, op, target, faultType, instanceID string) (bool, string) {
-	if pol.StateBefore != "" {
-		if v.bus.procAdapter == nil || instanceID == "" {
-			return false, "no_process_state"
-		}
-		state, ok := v.bus.procAdapter.AdaptationState(instanceID)
-		if !ok || state != pol.StateBefore {
-			return false, "state_mismatch"
+	state, haveState := "", v.bus.procAdapter != nil && instanceID != ""
+	if haveState && pol.StateBefore != "" {
+		// An instance the process layer does not know has no state: "".
+		if s, ok := v.bus.procAdapter.AdaptationState(instanceID); ok {
+			state = s
 		}
 	}
-	if pol.Condition == nil {
-		return true, ""
-	}
-	env := xpath.Context{Vars: map[string]xpath.Value{
-		"faultType":  xpath.String(faultType),
-		"target":     xpath.String(target),
-		"operation":  xpath.String(op),
-		"instanceID": xpath.String(instanceID),
-	}}
-	ok, err := pol.EvalCondition(req.ToXML(), env)
-	if err != nil {
-		return false, "condition_error"
-	}
-	if !ok {
-		return false, "condition_false"
-	}
-	return true, ""
+	return pol.Applies(state, haveState, func() (*xmltree.Element, xpath.Context) {
+		return req.ToXML(), xpath.Context{Vars: map[string]xpath.Value{
+			"faultType":  xpath.String(faultType),
+			"target":     xpath.String(target),
+			"operation":  xpath.String(op),
+			"instanceID": xpath.String(instanceID),
+		}}
+	})
 }
 
 // executePolicy runs a policy's actions in order. It reports whether

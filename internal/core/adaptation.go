@@ -31,6 +31,7 @@ import (
 	"github.com/masc-project/masc/internal/telemetry"
 	"github.com/masc-project/masc/internal/workflow"
 	"github.com/masc-project/masc/internal/xmltree"
+	"github.com/masc-project/masc/internal/xpath"
 )
 
 // ErrUnknownVariation reports a policy referencing an unregistered
@@ -141,8 +142,10 @@ func (s *AdaptationService) InstanceCreated(inst *workflow.Instance) {
 		Service:           inst.Definition(),
 	}
 	for _, pol := range compile.AdaptationsFor(s.repo, ev, inst.Definition()) {
-		applies, err := policyAppliesToInstance(pol, inst)
-		if err != nil || !applies {
+		applies, _ := pol.Applies(inst.AdaptationState(), true, func() (*xmltree.Element, xpath.Context) {
+			return inst.VarsDoc(), instanceXPathEnv(inst)
+		})
+		if !applies {
 			continue
 		}
 		if err := s.CustomizeInstance(inst, pol.AdaptationPolicy); err != nil {
@@ -152,15 +155,6 @@ func (s *AdaptationService) InstanceCreated(inst *workflow.Instance) {
 		s.customizations.With(pol.Name, "static").Inc()
 		s.publishAdaptation(inst.ID(), pol.AdaptationPolicy, "static customization applied")
 	}
-}
-
-// policyAppliesToInstance checks pre-state and condition against the
-// instance's variables document.
-func policyAppliesToInstance(pol *compile.CompiledAdaptation, inst *workflow.Instance) (bool, error) {
-	if pol.StateBefore != "" && inst.AdaptationState() != pol.StateBefore {
-		return false, nil
-	}
-	return pol.EvalCondition(inst.VarsDoc(), instanceXPathEnv(inst))
 }
 
 // CustomizeInstance applies a customization policy's process-layer

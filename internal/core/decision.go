@@ -13,6 +13,7 @@ import (
 	"github.com/masc-project/masc/internal/telemetry"
 	"github.com/masc-project/masc/internal/telemetry/decision"
 	"github.com/masc-project/masc/internal/workflow"
+	"github.com/masc-project/masc/internal/xmltree"
 	"github.com/masc-project/masc/internal/xpath"
 )
 
@@ -157,29 +158,6 @@ func (d *DecisionMaker) recordDecision(pol *compile.CompiledAdaptation, inst *wo
 	if d.store != nil {
 		inputs["instanceMessageCount"] = strconv.Itoa(d.store.CountForInstance(inst.ID()))
 	}
-	var checks []decision.Assertion
-	if pol.StateBefore != "" {
-		a := decision.Assertion{Name: "state-before", Value: inst.AdaptationState()}
-		if reason == "state_mismatch" {
-			a.Reason = reason
-		} else {
-			a.Matched = true
-		}
-		checks = append(checks, a)
-	}
-	if pol.Condition != nil {
-		a := decision.Assertion{Name: "condition", Value: pol.Condition.Source()}
-		switch {
-		case reason == "state_mismatch":
-			a.Skipped = true
-			a.Reason = "short_circuit"
-		case reason != "":
-			a.Reason = reason
-		default:
-			a.Matched = true
-		}
-		checks = append(checks, a)
-	}
 	rec := decision.Record{
 		Time:         start,
 		Site:         decision.SiteDecision,
@@ -194,7 +172,7 @@ func (d *DecisionMaker) recordDecision(pol *compile.CompiledAdaptation, inst *wo
 		Reason:       reason,
 		Outcome:      outcome,
 		Inputs:       inputs,
-		Assertions:   checks,
+		Assertions:   pol.GateAssertions(reason, inst.AdaptationState()),
 		Latency:      time.Since(start),
 	}
 	if verdict == decision.VerdictMatched || verdict == decision.VerdictError {
@@ -228,34 +206,21 @@ func (d *DecisionMaker) auditDispatch(pol *compile.CompiledAdaptation, inst *wor
 // reason for the decision record ("state_mismatch", "condition_false",
 // "condition_error").
 func (d *DecisionMaker) policyApplies(pol *compile.CompiledAdaptation, inst *workflow.Instance, ev event.Event) (bool, string) {
-	if pol.StateBefore != "" && inst.AdaptationState() != pol.StateBefore {
-		return false, "state_mismatch"
-	}
-	if pol.Condition == nil {
-		return true, ""
-	}
-	env := instanceXPathEnv(inst)
-	env.Vars["faultType"] = xpath.String(ev.FaultType)
-	env.Vars["operation"] = xpath.String(ev.Operation)
-	if d.store != nil {
-		env.Vars["instanceMessageCount"] = xpath.Number(d.store.CountForInstance(inst.ID()))
-	}
-
-	// Conditions on message events evaluate against the intercepted
-	// message (the paper's "introspecting exchanged SOAP messages");
-	// otherwise against the instance's variables.
-	root := inst.VarsDoc()
-	if ev.Message != nil {
-		root = ev.Message.ToXML()
-	}
-	ok, err := pol.EvalCondition(root, env)
-	if err != nil {
-		return false, "condition_error"
-	}
-	if !ok {
-		return false, "condition_false"
-	}
-	return true, ""
+	return pol.Applies(inst.AdaptationState(), true, func() (*xmltree.Element, xpath.Context) {
+		env := instanceXPathEnv(inst)
+		env.Vars["faultType"] = xpath.String(ev.FaultType)
+		env.Vars["operation"] = xpath.String(ev.Operation)
+		if d.store != nil {
+			env.Vars["instanceMessageCount"] = xpath.Number(d.store.CountForInstance(inst.ID()))
+		}
+		// Conditions on message events evaluate against the intercepted
+		// message (the paper's "introspecting exchanged SOAP messages");
+		// otherwise against the instance's variables.
+		if ev.Message != nil {
+			return ev.Message.ToXML(), env
+		}
+		return inst.VarsDoc(), env
+	})
 }
 
 // dispatch executes a policy: structural actions via dynamic

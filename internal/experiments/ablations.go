@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"github.com/masc-project/masc/internal/bus"
@@ -154,6 +155,9 @@ func RunSelectionComparison(cfg Table1Config) ([]SelectionPoint, error) {
 type ReparsePoint struct {
 	Mode    string
 	MeanRTT time.Duration
+	// Parses counts the policy-XML parses the arm performed over the
+	// whole run: the deterministic form of the ablation's claim.
+	Parses int
 }
 
 // RunReparseAblation isolates the decision path: a deployment with no
@@ -200,8 +204,15 @@ func RunReparseAblation(cfg Table1Config) ([]ReparsePoint, error) {
   </AdaptationPolicy>
 </PolicyDocument>`
 
-	objRepo := policy.NewRepository()
-	if _, err := objRepo.LoadXML(failoverOnly); err != nil {
+	var objParses, reparses atomic.Int64
+	parse := func(n *atomic.Int64) (*policy.Repository, error) {
+		n.Add(1)
+		r := policy.NewRepository()
+		_, err := r.LoadXML(failoverOnly)
+		return r, err
+	}
+	objRepo, err := parse(&objParses)
+	if err != nil {
 		return nil, err
 	}
 
@@ -218,8 +229,7 @@ func RunReparseAblation(cfg Table1Config) ([]ReparsePoint, error) {
 			return nil, err
 		}
 		rp, err := run("reparse-per-decision", bus.WithPolicySource(func() *policy.Repository {
-			r := policy.NewRepository()
-			_, _ = r.LoadXML(failoverOnly)
+			r, _ := parse(&reparses)
 			return r
 		}))
 		if err != nil {
@@ -232,6 +242,7 @@ func RunReparseAblation(cfg Table1Config) ([]ReparsePoint, error) {
 			reparsePoint.MeanRTT = rp.MeanRTT
 		}
 	}
+	objPoint.Parses, reparsePoint.Parses = int(objParses.Load()), int(reparses.Load())
 	return []ReparsePoint{objPoint, reparsePoint}, nil
 }
 

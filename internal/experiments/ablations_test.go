@@ -35,7 +35,8 @@ func TestReparseAblationShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablation")
 	}
-	points, err := RunReparseAblation(Table1Config{Requests: 2500, Seed: 7})
+	const requests = 2500
+	points, err := RunReparseAblation(Table1Config{Requests: requests, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,11 +47,17 @@ func TestReparseAblationShape(t *testing.T) {
 	if obj.Mode != "object-repository" || reparse.Mode != "reparse-per-decision" {
 		t.Fatalf("modes = %q %q", obj.Mode, reparse.Mode)
 	}
-	// Re-parsing per decision must cost measurably more on the pure
-	// decision path (the paper's §3.2 optimization rationale).
-	if reparse.MeanRTT <= obj.MeanRTT {
-		t.Errorf("reparse (%v) not slower than object repository (%v)", reparse.MeanRTT, obj.MeanRTT)
+	// The object repository parses once, at setup; every measured
+	// request faults, so the re-parse arm parses at least once per
+	// request (the paper's §3.2 optimization rationale). The RTT
+	// ordering that follows from it is wall-clock, so it is only logged.
+	if obj.Parses != 1 {
+		t.Errorf("object repository parsed %d times, want 1", obj.Parses)
 	}
+	if reparse.Parses < requests {
+		t.Errorf("re-parse arm parsed %d times over %d requests", reparse.Parses, requests)
+	}
+	t.Logf("re-parse slower than object repository: %v", reparse.MeanRTT > obj.MeanRTT)
 	t.Logf("\n%s", FormatReparse(points))
 }
 

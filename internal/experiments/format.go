@@ -77,7 +77,7 @@ func FormatReparse(points []ReparsePoint) string {
 	var sb strings.Builder
 	sb.WriteString("Ablation: policy object repository vs re-parse per decision\n")
 	for _, p := range points {
-		sb.WriteString(fmt.Sprintf("  %-24s mean RTT %v\n", p.Mode, p.MeanRTT.Round(1000)))
+		sb.WriteString(fmt.Sprintf("  %-24s mean RTT %-10v policy parses %d\n", p.Mode, p.MeanRTT.Round(1000), p.Parses))
 	}
 	return sb.String()
 }

@@ -303,6 +303,40 @@ func TestStoreEviction(t *testing.T) {
 	}
 }
 
+// TestStoreEvictionWrapAround records capacity+3 messages so the write
+// position wraps, then checks the history reads oldest-first and that
+// Reset leaves a store that fills and wraps again.
+func TestStoreEvictionWrapAround(t *testing.T) {
+	const capacity = 4
+	s := NewStore(capacity)
+	fill := func(prefix string) {
+		for i := 0; i < capacity+3; i++ {
+			s.Record(StoredMessage{InstanceID: fmt.Sprintf("%s%d", prefix, i),
+				Envelope: soap.NewRequest(xmltree.New("", "m"))})
+		}
+	}
+	check := func(prefix string) {
+		t.Helper()
+		got := s.Query(Filter{})
+		if len(got) != capacity || s.Len() != capacity {
+			t.Fatalf("retained %d messages, Len %d, want %d", len(got), s.Len(), capacity)
+		}
+		for i, m := range got { // oldest first
+			if want := fmt.Sprintf("%s%d", prefix, 3+i); m.InstanceID != want {
+				t.Fatalf("Query()[%d] = %s, want %s", i, m.InstanceID, want)
+			}
+		}
+	}
+	fill("p")
+	check("p")
+	s.Reset()
+	if s.Len() != 0 || s.Query(Filter{}) != nil {
+		t.Fatal("Reset left messages behind")
+	}
+	fill("q")
+	check("q")
+}
+
 func TestStoreQueryFilter(t *testing.T) {
 	s := NewStore(10)
 	mk := func(inst, subj, op string, dir wsdl.Direction) StoredMessage {

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/masc-project/masc/internal/ringbuf"
 	"github.com/masc-project/masc/internal/soap"
 	"github.com/masc-project/masc/internal/wsdl"
 	"github.com/masc-project/masc/internal/xpath"
@@ -26,10 +27,8 @@ type StoredMessage struct {
 // log of prior interactions to get some historical data" (§3.1(2)).
 // Store is safe for concurrent use.
 type Store struct {
-	limit int
-
 	mu       sync.Mutex
-	messages []StoredMessage
+	messages *ringbuf.Buffer[StoredMessage]
 }
 
 // NewStore builds a store retaining at most limit messages (oldest
@@ -38,24 +37,21 @@ func NewStore(limit int) *Store {
 	if limit <= 0 {
 		limit = 1024
 	}
-	return &Store{limit: limit}
+	return &Store{messages: ringbuf.New[StoredMessage](limit)}
 }
 
 // Record appends a message, evicting the oldest beyond the limit.
 func (s *Store) Record(m StoredMessage) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.messages = append(s.messages, m)
-	if len(s.messages) > s.limit {
-		s.messages = append(s.messages[:0], s.messages[len(s.messages)-s.limit:]...)
-	}
+	s.messages.Push(m)
+	s.mu.Unlock()
 }
 
 // Len returns the number of retained messages.
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.messages)
+	return s.messages.Len()
 }
 
 // CountForInstance returns how many retained messages correlate to the
@@ -64,11 +60,12 @@ func (s *Store) CountForInstance(instanceID string) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := 0
-	for _, m := range s.messages {
+	s.messages.Do(func(m *StoredMessage) bool {
 		if m.InstanceID == instanceID {
 			n++
 		}
-	}
+		return true
+	})
 	return n
 }
 
@@ -80,7 +77,7 @@ type Filter struct {
 	Direction  wsdl.Direction
 }
 
-func (f Filter) matches(m StoredMessage) bool {
+func (f Filter) matches(m *StoredMessage) bool {
 	if f.InstanceID != "" && f.InstanceID != m.InstanceID {
 		return false
 	}
@@ -101,13 +98,9 @@ func (f Filter) matches(m StoredMessage) bool {
 func (s *Store) Query(f Filter) []StoredMessage {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var out []StoredMessage
-	for _, m := range s.messages {
-		if f.matches(m) {
-			cp := m
-			cp.Envelope = m.Envelope.Clone()
-			out = append(out, cp)
-		}
+	out := s.messages.Select(f.matches, 0)
+	for i := range out {
+		out[i].Envelope = out[i].Envelope.Clone()
 	}
 	return out
 }
@@ -134,6 +127,6 @@ func (s *Store) CountMatching(f Filter, expr *xpath.Compiled) (int, error) {
 // Reset discards all retained messages.
 func (s *Store) Reset() {
 	s.mu.Lock()
-	s.messages = nil
+	s.messages.Reset()
 	s.mu.Unlock()
 }

@@ -3,12 +3,16 @@ package compile_test
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"github.com/masc-project/masc/internal/event"
 	"github.com/masc-project/masc/internal/policy"
 	"github.com/masc-project/masc/internal/policy/compile"
+	"github.com/masc-project/masc/internal/telemetry/decision"
+	"github.com/masc-project/masc/internal/xmltree"
+	"github.com/masc-project/masc/internal/xpath"
 )
 
 func parseDoc(t *testing.T, xml string) *policy.Document {
@@ -353,5 +357,80 @@ func TestLoadDir(t *testing.T) {
 	write("broken.xml", "<PolicyDocument")
 	if _, err := compile.LoadDir(dir); err == nil {
 		t.Fatal("unparseable bundle file accepted")
+	}
+}
+
+// TestAdaptationGate pins the one ECA applicability gate: every
+// rejection reason, the assertions each renders, and that the
+// condition's inputs are built only when a condition is evaluated.
+func TestAdaptationGate(t *testing.T) {
+	repo := loadAll(t, []*policy.Document{parseDoc(t, `
+<PolicyDocument xmlns="urn:masc:ws-policy4masc" name="gate">
+  <AdaptationPolicy name="gated" subject="P" priority="2">
+    <OnEvent type="fault.detected"/>
+    <Condition>$n &gt; 1</Condition>
+    <StateBefore>base</StateBefore>
+    <Actions><Skip/></Actions>
+  </AdaptationPolicy>
+  <AdaptationPolicy name="open" subject="P" priority="1">
+    <OnEvent type="fault.detected"/>
+    <Actions><Skip/></Actions>
+  </AdaptationPolicy>
+</PolicyDocument>`)})
+	aps := compile.AdaptationsFor(repo, event.Event{Type: event.TypeFaultDetected}, "P")
+	if got := strings.Join(adaptNames(aps), ","); got != "gated,open" {
+		t.Fatalf("AdaptationsFor = %q", got)
+	}
+	gated, open := aps[0], aps[1]
+	root := xmltree.New("", "vars")
+	vars := func(name string, n float64) func() (*xmltree.Element, xpath.Context) {
+		return func() (*xmltree.Element, xpath.Context) {
+			return root, xpath.Context{Vars: map[string]xpath.Value{name: xpath.Number(n)}}
+		}
+	}
+	unreachable := func() (*xmltree.Element, xpath.Context) {
+		t.Fatal("condition inputs built without a condition to evaluate")
+		return nil, xpath.Context{}
+	}
+
+	cases := []struct {
+		name      string
+		state     string
+		haveState bool
+		input     func() (*xmltree.Element, xpath.Context)
+		reason    string
+		want      []decision.Assertion
+	}{
+		{"no state", "", false, unreachable, "no_process_state", []decision.Assertion{
+			{Name: "state-before", Value: "seen", Reason: "no_process_state"},
+			{Name: "condition", Value: "$n > 1", Skipped: true, Reason: "short_circuit"}}},
+		{"wrong state", "other", true, unreachable, "state_mismatch", []decision.Assertion{
+			{Name: "state-before", Value: "seen", Reason: "state_mismatch"},
+			{Name: "condition", Value: "$n > 1", Skipped: true, Reason: "short_circuit"}}},
+		{"condition false", "base", true, vars("n", 1), "condition_false", []decision.Assertion{
+			{Name: "state-before", Value: "seen", Matched: true},
+			{Name: "condition", Value: "$n > 1", Reason: "condition_false"}}},
+		{"condition error", "base", true, vars("unbound", 0), "condition_error", []decision.Assertion{
+			{Name: "state-before", Value: "seen", Matched: true},
+			{Name: "condition", Value: "$n > 1", Reason: "condition_error"}}},
+		{"holds", "base", true, vars("n", 2), "", []decision.Assertion{
+			{Name: "state-before", Value: "seen", Matched: true},
+			{Name: "condition", Value: "$n > 1", Matched: true}}},
+	}
+	for _, c := range cases {
+		ok, reason := gated.Applies(c.state, c.haveState, c.input)
+		if ok != (c.reason == "") || reason != c.reason {
+			t.Errorf("%s: Applies = %v, %q; want reason %q", c.name, ok, reason, c.reason)
+		}
+		if got := gated.GateAssertions(reason, "seen"); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: GateAssertions = %+v, want %+v", c.name, got, c.want)
+		}
+	}
+
+	if ok, reason := open.Applies("", false, unreachable); !ok || reason != "" {
+		t.Errorf("ungated policy: Applies = %v, %q", ok, reason)
+	}
+	if got := open.GateAssertions("", ""); got != nil {
+		t.Errorf("ungated policy renders assertions: %+v", got)
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"github.com/masc-project/masc/internal/event"
 	"github.com/masc-project/masc/internal/policy"
+	"github.com/masc-project/masc/internal/telemetry/decision"
 	"github.com/masc-project/masc/internal/xmltree"
 	"github.com/masc-project/masc/internal/xpath"
 )
@@ -71,17 +72,73 @@ type CompiledAdaptation struct {
 	ord           int
 }
 
-// EvalCondition evaluates the policy's relevance condition against the
-// triggering message; a nil condition is true. Uses the lowered program
-// when compiled, the tree interpreter otherwise.
-func (ca *CompiledAdaptation) EvalCondition(root *xmltree.Element, env xpath.Context) (bool, error) {
+// Applies is the ECA applicability gate, shared by the bus recovery loop
+// and the process-layer decision maker: the subject's adaptation state
+// must equal StateBefore when the policy names one, then the relevance
+// condition must hold. haveState false means no process state is
+// reachable from the evaluation site. input supplies the condition's
+// root and variables and is called only when the policy has a
+// Condition. When the gate does not hold, reason is one of
+// no_process_state, state_mismatch, condition_error, condition_false.
+func (ca *CompiledAdaptation) Applies(state string, haveState bool,
+	input func() (*xmltree.Element, xpath.Context)) (ok bool, reason string) {
+
+	if ca.StateBefore != "" {
+		if !haveState {
+			return false, "no_process_state"
+		}
+		if state != ca.StateBefore {
+			return false, "state_mismatch"
+		}
+	}
 	if ca.Condition == nil {
-		return true, nil
+		return true, ""
 	}
+	// The lowered program when compiled, the tree interpreter otherwise.
+	eval := ca.Condition.EvalBool
 	if ca.cond != nil {
-		return ca.cond.EvalBool(root, env)
+		eval = ca.cond.EvalBool
 	}
-	return ca.Condition.EvalBool(root, env)
+	ok, err := eval(input())
+	if err != nil {
+		return false, "condition_error"
+	}
+	if !ok {
+		return false, "condition_false"
+	}
+	return true, ""
+}
+
+// GateAssertions renders one Applies outcome as the decision record's
+// "state-before" and "condition" assertions. reason is what Applies
+// returned; stateValue is the value the site records for the state
+// gate (the bus records StateBefore, the decision maker the live state).
+func (ca *CompiledAdaptation) GateAssertions(reason, stateValue string) []decision.Assertion {
+	stateFailed := reason == "state_mismatch" || reason == "no_process_state"
+	var checks []decision.Assertion
+	if ca.StateBefore != "" {
+		a := decision.Assertion{Name: "state-before", Value: stateValue}
+		if stateFailed {
+			a.Reason = reason
+		} else {
+			a.Matched = true
+		}
+		checks = append(checks, a)
+	}
+	if ca.Condition != nil {
+		a := decision.Assertion{Name: "condition", Value: ca.Condition.Source()}
+		switch {
+		case stateFailed:
+			a.Skipped = true
+			a.Reason = "short_circuit"
+		case reason != "":
+			a.Reason = reason
+		default:
+			a.Matched = true
+		}
+		checks = append(checks, a)
+	}
+	return checks
 }
 
 // CompiledProtection is one protection policy entry in the first-match
@@ -243,8 +300,7 @@ func adaptBefore(a, b *CompiledAdaptation) bool {
 
 // AdaptationFor returns the compiled adaptation policies triggered by
 // the event whose scope covers the subject, ordered by descending
-// priority (ties by name). Callers evaluate each policy's condition via
-// EvalCondition.
+// priority (ties by name). Callers gate each policy through Applies.
 func (s *CompiledSet) AdaptationFor(e event.Event, subject string) []*CompiledAdaptation {
 	exact := s.adaptByEvent[e.Type]
 	wild := s.adaptWild

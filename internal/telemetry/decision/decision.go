@@ -11,8 +11,8 @@
 // durable NDJSON log (the Log), so the middleware can answer "why did
 // it adapt?" after the fact.
 //
-// The package depends only on the standard library and
-// internal/telemetry (for the masc_decision_* metric families); in
+// The package depends only on the standard library, internal/ringbuf
+// and internal/telemetry (for the masc_decision_* metric families); in
 // particular it must not import the policy engines it observes, so
 // each site holds its own *Recorder reference rather than reaching
 // through the telemetry hub.
@@ -24,6 +24,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/masc-project/masc/internal/ringbuf"
 	"github.com/masc-project/masc/internal/telemetry"
 )
 
@@ -160,14 +161,11 @@ const DefaultCapacity = 4096
 // blocks on the optional sink. A nil *Recorder is a valid no-op, so
 // evaluation sites record unconditionally.
 type Recorder struct {
-	mu       sync.Mutex
-	capacity int
-	buf      []Record
-	head     int
-	n        int
-	seq      uint64
-	node     string
-	sink     Sink
+	mu   sync.Mutex
+	ring *ringbuf.Buffer[Record]
+	seq  uint64
+	node string
+	sink Sink
 
 	evaluations *telemetry.CounterVec
 	matches     *telemetry.CounterVec
@@ -183,10 +181,7 @@ func NewRecorder(capacity int, reg *telemetry.Registry) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	r := &Recorder{
-		capacity: capacity,
-		buf:      make([]Record, capacity),
-	}
+	r := &Recorder{ring: ringbuf.New[Record](capacity)}
 	r.evaluations = reg.Counter("masc_decision_evaluations_total",
 		"Policy evaluations recorded, by evaluation site.", "site")
 	r.matches = reg.Counter("masc_decision_matches_total",
@@ -238,15 +233,7 @@ func (r *Recorder) Record(rec Record) Record {
 		rec.Node = r.node
 	}
 	rec.ID = fmt.Sprintf("urn:masc:decision:%d", r.seq)
-	evicted := false
-	if r.n < r.capacity {
-		r.buf[(r.head+r.n)%r.capacity] = rec
-		r.n++
-	} else {
-		r.buf[r.head] = rec
-		r.head = (r.head + 1) % r.capacity
-		evicted = true
-	}
+	evicted := r.ring.Push(rec)
 	sink := r.sink
 	r.mu.Unlock()
 
@@ -274,7 +261,7 @@ func (r *Recorder) Len() int {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.n
+	return r.ring.Len()
 }
 
 // Counts reports total evaluations and matched verdicts recorded so
@@ -346,17 +333,7 @@ func (r *Recorder) Records(q Query) []Record {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var out []Record
-	for i := 0; i < r.n; i++ {
-		rec := &r.buf[(r.head+i)%r.capacity]
-		if q.matches(rec) {
-			out = append(out, *rec)
-		}
-	}
-	if q.Limit > 0 && len(out) > q.Limit {
-		out = out[len(out)-q.Limit:]
-	}
-	return out
+	return r.ring.Select(q.matches, q.Limit)
 }
 
 // JoinActions renders a list of action names as the Record.Action

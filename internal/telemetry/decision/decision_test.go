@@ -60,6 +60,25 @@ func TestRecorderEvictsOldestAndCounts(t *testing.T) {
 	}
 }
 
+// TestRecorderEvictionCounterTracksOverflow: filling the ring exactly
+// evicts nothing; every record past capacity evicts exactly one.
+func TestRecorderEvictionCounterTracksOverflow(t *testing.T) {
+	const capacity = 4
+	reg := telemetry.NewRegistry()
+	r := NewRecorder(capacity, reg)
+	evictions := reg.Counter("masc_decision_ring_evictions_total", "").With()
+	for i := 1; i <= capacity+3; i++ {
+		r.Record(Record{Site: SiteBus, Policy: "p", Verdict: VerdictPassed})
+		want := uint64(0)
+		if i > capacity {
+			want = uint64(i - capacity)
+		}
+		if got := evictions.Value(); got != want {
+			t.Fatalf("after %d records: evictions = %d, want %d", i, got, want)
+		}
+	}
+}
+
 func TestRecorderQueryFilters(t *testing.T) {
 	r := NewRecorder(32, nil)
 	base := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)

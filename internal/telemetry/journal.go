@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"github.com/masc-project/masc/internal/ringbuf"
 )
 
 // DefaultJournalCapacity is the ring-buffer size used when NewJournal
@@ -127,14 +129,10 @@ type Entry struct {
 // entries — the middleware's in-memory message journal, log store, and
 // SLA audit trail. A nil *Journal is a valid no-op journal.
 type Journal struct {
-	capacity int
-
 	mu   sync.Mutex
 	seq  uint64
 	node string
-	buf  []Entry
-	head int // index of the oldest entry
-	n    int // live entries, <= capacity
+	ring *ringbuf.Buffer[Entry]
 }
 
 // SetNode stamps every subsequently recorded entry with the cluster
@@ -155,7 +153,7 @@ func NewJournal(capacity int) *Journal {
 	if capacity <= 0 {
 		capacity = DefaultJournalCapacity
 	}
-	return &Journal{capacity: capacity, buf: make([]Entry, capacity)}
+	return &Journal{ring: ringbuf.New[Entry](capacity)}
 }
 
 // Record appends an entry, stamping its sequence number and — when the
@@ -178,13 +176,7 @@ func (j *Journal) Record(e Entry) uint64 {
 	if e.Node == "" {
 		e.Node = j.node
 	}
-	if j.n < j.capacity {
-		j.buf[(j.head+j.n)%j.capacity] = e
-		j.n++
-	} else {
-		j.buf[j.head] = e
-		j.head = (j.head + 1) % j.capacity
-	}
+	j.ring.Push(e)
 	return e.Seq
 }
 
@@ -195,7 +187,7 @@ func (j *Journal) Len() int {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.n
+	return j.ring.Len()
 }
 
 // Query filters journal reads. Zero values match everything.
@@ -216,7 +208,7 @@ type Query struct {
 	Limit int
 }
 
-func (q Query) matches(e Entry) bool {
+func (q Query) matches(e *Entry) bool {
 	if q.Conversation != "" && e.Conversation != q.Conversation {
 		return false
 	}
@@ -254,18 +246,8 @@ func (j *Journal) Entries(q Query) []Entry {
 		return nil
 	}
 	j.mu.Lock()
-	var out []Entry
-	for i := 0; i < j.n; i++ {
-		e := j.buf[(j.head+i)%j.capacity]
-		if q.matches(e) {
-			out = append(out, e)
-		}
-	}
-	j.mu.Unlock()
-	if q.Limit > 0 && len(out) > q.Limit {
-		out = out[len(out)-q.Limit:]
-	}
-	return out
+	defer j.mu.Unlock()
+	return j.ring.Select(q.matches, q.Limit)
 }
 
 // CountTrace returns how many retained entries carry the trace ID.
@@ -276,10 +258,11 @@ func (j *Journal) CountTrace(id string) int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	count := 0
-	for i := 0; i < j.n; i++ {
-		if j.buf[(j.head+i)%j.capacity].Trace == id {
+	j.ring.Do(func(e *Entry) bool {
+		if e.Trace == id {
 			count++
 		}
-	}
+		return true
+	})
 	return count
 }

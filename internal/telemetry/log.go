@@ -100,9 +100,6 @@ func (l *Logger) Conversation(id string) *Logger {
 	return cp
 }
 
-// Debug logs at debug severity.
-func (l *Logger) Debug(msg string, kv ...string) { l.Log(LevelDebug, msg, kv...) }
-
 // Info logs at info severity.
 func (l *Logger) Info(msg string, kv ...string) { l.Log(LevelInfo, msg, kv...) }
 

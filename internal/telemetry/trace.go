@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/masc-project/masc/internal/ringbuf"
 )
 
 // DefaultTraceCapacity is the ring-buffer size used when NewTracer is
@@ -18,11 +20,9 @@ const DefaultTraceCapacity = 128
 // and adaptation actions. Completed traces are retained in a ring
 // buffer of fixed capacity. A nil *Tracer is a valid no-op tracer.
 type Tracer struct {
-	capacity int
-
 	mu         sync.Mutex
 	seq        uint64
-	ring       []*Trace // oldest first, len <= capacity
+	ring       *ringbuf.Buffer[*Trace]
 	byInstance map[string]*Span
 }
 
@@ -33,7 +33,7 @@ func NewTracer(capacity int) *Tracer {
 		capacity = DefaultTraceCapacity
 	}
 	return &Tracer{
-		capacity:   capacity,
+		ring:       ringbuf.New[*Trace](capacity),
 		byInstance: make(map[string]*Span),
 	}
 }
@@ -220,11 +220,8 @@ func (s *Span) EndErr(err error) {
 
 func (t *Tracer) commit(tr *Trace) {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.ring) >= t.capacity {
-		t.ring = append(t.ring[:0], t.ring[len(t.ring)-t.capacity+1:]...)
-	}
-	t.ring = append(t.ring, tr)
+	t.ring.Push(tr)
+	t.mu.Unlock()
 }
 
 // BindInstance associates a process instance ID with a span so that
@@ -327,7 +324,7 @@ func (t *Tracer) Traces() []TraceSummary {
 		return nil
 	}
 	t.mu.Lock()
-	ring := append([]*Trace(nil), t.ring...)
+	ring := t.ring.Select(nil, 0)
 	t.mu.Unlock()
 
 	out := make([]TraceSummary, 0, len(ring))
@@ -353,12 +350,13 @@ func (t *Tracer) Trace(id string) (TraceView, bool) {
 	}
 	t.mu.Lock()
 	var found *Trace
-	for _, tr := range t.ring {
-		if tr.id == id {
-			found = tr
-			break
+	t.ring.Do(func(tr **Trace) bool {
+		if (*tr).id != id {
+			return true
 		}
-	}
+		found = *tr
+		return false
+	})
 	t.mu.Unlock()
 	if found == nil {
 		return TraceView{}, false
@@ -374,5 +372,5 @@ func (t *Tracer) Len() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.ring)
+	return t.ring.Len()
 }

@@ -108,6 +108,33 @@ func TestRingBufferEviction(t *testing.T) {
 	}
 }
 
+// TestTracerEvictionWrapAround commits capacity+3 traces so the ring's
+// write position wraps past the end of its backing array.
+func TestTracerEvictionWrapAround(t *testing.T) {
+	const capacity = 4
+	tr := NewTracer(capacity)
+	var ids []string
+	for i := 0; i < capacity+3; i++ {
+		_, root := tr.StartTrace(context.Background(), "t")
+		ids = append(ids, root.TraceID())
+		root.End()
+	}
+	sums := tr.Traces()
+	if len(sums) != capacity || tr.Len() != capacity {
+		t.Fatalf("retained %d summaries, Len %d, want %d", len(sums), tr.Len(), capacity)
+	}
+	for i, s := range sums { // newest first
+		if want := ids[len(ids)-1-i]; s.ID != want {
+			t.Fatalf("Traces()[%d] = %s, want %s", i, s.ID, want)
+		}
+	}
+	for i, id := range ids {
+		if _, ok := tr.Trace(id); ok != (i >= 3) {
+			t.Fatalf("Trace(%s) found = %v after %d evictions", id, ok, 3)
+		}
+	}
+}
+
 func TestEventTapAnnotatesBoundInstance(t *testing.T) {
 	tr := NewTracer(4)
 	eb := event.NewBus()

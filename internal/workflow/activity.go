@@ -147,13 +147,6 @@ func (p *Parallel) Name() string { return p.name }
 // Kind implements Activity.
 func (p *Parallel) Kind() string { return "parallel" }
 
-// Branches returns the branch activities (read-only view).
-func (p *Parallel) Branches() []Activity {
-	out := make([]Activity, len(p.branches))
-	copy(out, p.branches)
-	return out
-}
-
 // Clone implements Activity.
 func (p *Parallel) Clone() Activity {
 	cp := &Parallel{name: p.name, branches: make([]Activity, len(p.branches))}

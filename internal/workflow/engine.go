@@ -261,18 +261,6 @@ func (e *Engine) Definition(name string) (*Definition, error) {
 	return def, nil
 }
 
-// Definitions returns deployed definition names, sorted.
-func (e *Engine) Definitions() []string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]string, 0, len(e.definitions))
-	for n := range e.definitions {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // CreateInstance instantiates a deployed definition with the given
 // input variables but does not begin execution; runtime services'
 // InstanceCreated hooks (static customization) run synchronously

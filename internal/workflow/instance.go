@@ -531,20 +531,6 @@ func (in *Instance) SetVar(name string, val *xmltree.Element) {
 	in.vars[name] = val.Copy()
 }
 
-// VariableNames returns the names of set variables, sorted.
-func (in *Instance) VariableNames() []string {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	out := make([]string, 0, len(in.vars))
-	for k, v := range in.vars {
-		if v != nil {
-			out = append(out, k)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // VarsDoc builds the synthetic variables document conditions evaluate
 // against: <vars><varName>value…</varName>…</vars>.
 func (in *Instance) VarsDoc() *xmltree.Element {

@@ -39,15 +39,6 @@ func ParseDefinitionString(s string) (*Definition, error) {
 	return ParseDefinition(strings.NewReader(s))
 }
 
-// MustParseDefinitionString parses or panics; for embedded processes.
-func MustParseDefinitionString(s string) *Definition {
-	d, err := ParseDefinitionString(s)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
 // DefinitionFromXML converts a parsed document into a Definition.
 func DefinitionFromXML(root *xmltree.Element) (*Definition, error) {
 	if root.Name.Local != "process" {

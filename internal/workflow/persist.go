@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/masc-project/masc/internal/ringbuf"
 	"github.com/masc-project/masc/internal/store"
 	"github.com/masc-project/masc/internal/telemetry"
 	"github.com/masc-project/masc/internal/xmltree"
@@ -79,9 +80,8 @@ type PersistenceService struct {
 
 	// events is a bounded ring of recent checkpoint activity feeding
 	// the instance timeline API.
-	eventsMu   sync.Mutex
-	events     []CheckpointEvent
-	eventsHead int
+	eventsMu sync.Mutex
+	events   *ringbuf.Buffer[CheckpointEvent]
 
 	recovered   *telemetry.Gauge
 	saves       *telemetry.CounterVec
@@ -130,12 +130,7 @@ func (p *PersistenceService) noteEvent(inst *Instance, kind string) {
 		AdaptState: inst.AdaptationState(),
 	}
 	p.eventsMu.Lock()
-	if len(p.events) < ckptEventCap {
-		p.events = append(p.events, ev)
-	} else {
-		p.events[p.eventsHead] = ev
-		p.eventsHead = (p.eventsHead + 1) % ckptEventCap
-	}
+	p.events.Push(ev)
 	p.eventsMu.Unlock()
 }
 
@@ -145,14 +140,7 @@ func (p *PersistenceService) noteEvent(inst *Instance, kind string) {
 func (p *PersistenceService) CheckpointEvents(id string) []CheckpointEvent {
 	p.eventsMu.Lock()
 	defer p.eventsMu.Unlock()
-	var out []CheckpointEvent
-	for i := 0; i < len(p.events); i++ {
-		ev := p.events[(p.eventsHead+i)%len(p.events)]
-		if ev.Instance == id {
-			out = append(out, ev)
-		}
-	}
-	return out
+	return p.events.Select(func(ev *CheckpointEvent) bool { return ev.Instance == id }, 0)
 }
 
 var _ RuntimeService = (*PersistenceService)(nil)
@@ -175,6 +163,7 @@ func NewPersistenceServiceWith(st *store.Store, tel *telemetry.Telemetry, opts P
 		log:    tel.Logger("persistence"),
 		opts:   opts,
 		chains: make(map[string]*instChain),
+		events: ringbuf.New[CheckpointEvent](ckptEventCap),
 		recovered: reg.Gauge("masc_store_recovered_instances",
 			"Process instances rebuilt from the store at the last recovery.").With(),
 		saves: reg.Counter("masc_store_instance_checkpoints_total",

@@ -26,17 +26,6 @@ func MarshalString(e *Element) (string, error) {
 	return sb.String(), nil
 }
 
-// MustMarshalString serializes e, panicking on error. Marshalling an
-// in-memory tree only fails on writer errors, which strings.Builder
-// never produces.
-func MustMarshalString(e *Element) string {
-	s, err := MarshalString(e)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 type marshaler struct {
 	prefixes map[string]string // namespace URI -> prefix
 	order    []string          // URIs in order of first use
