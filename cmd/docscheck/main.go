@@ -6,7 +6,8 @@
 //     http(s)/mailto links and pure #fragments are skipped).
 //  2. Godoc coverage — every exported declaration in internal/store
 //     (the on-disk format's implementation, specified by
-//     docs/persistence.md) must carry a doc comment.
+//     docs/persistence.md) and internal/daemon (the assembly cmd/mascd
+//     and every test daemon share) must carry a doc comment.
 //
 // Any finding prints as file: message and the process exits 1.
 package main
@@ -26,6 +27,7 @@ func main() {
 	var problems []string
 	problems = append(problems, checkLinks()...)
 	problems = append(problems, checkGodoc("internal/store")...)
+	problems = append(problems, checkGodoc("internal/daemon")...)
 	for _, p := range problems {
 		fmt.Fprintln(os.Stderr, "docscheck:", p)
 	}

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -9,27 +8,26 @@ import (
 	"testing"
 	"time"
 
+	"github.com/masc-project/masc/internal/daemon"
 	"github.com/masc-project/masc/internal/policy"
 )
 
-func apiServer(t *testing.T) (*daemon, *httptest.Server) {
-	t.Helper()
-	d := testDaemon(t)
-	srv := httptest.NewServer(d.routes(false))
-	t.Cleanup(srv.Close)
-	return d, srv
-}
-
-func decodeJSON(t *testing.T, r io.Reader, v any) {
-	t.Helper()
-	if err := json.NewDecoder(r).Decode(v); err != nil {
-		t.Fatal(err)
-	}
+// vepSummary is one VEP in /api/v1/veps as the tests read it.
+type vepSummary struct {
+	Name       string   `json:"name"`
+	Address    string   `json:"address"`
+	Services   []string `json:"services"`
+	Protection *struct {
+		Policy    string `json:"policy"`
+		Admission bool   `json:"admission"`
+		Breaker   bool   `json:"breaker"`
+		Hedge     bool   `json:"hedge"`
+	} `json:"protection"`
 }
 
 func TestAPIVepsListing(t *testing.T) {
-	d, srv := apiServer(t)
-	v, err := d.gateway.VEP("Retailer")
+	d, srv := boot(t, daemon.Config{})
+	v, err := d.Gateway().VEP("Retailer")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +64,7 @@ func TestAPIVepsListing(t *testing.T) {
 }
 
 func TestAPIServiceManagement(t *testing.T) {
-	_, srv := apiServer(t)
+	_, srv := boot(t, daemon.Config{})
 	client := srv.Client()
 	base := srv.URL + "/api/v1/veps/Retailer/services"
 
@@ -137,7 +135,7 @@ func TestAPIServiceManagement(t *testing.T) {
 // envelope, whichever package owns the handler — the telemetry and
 // decision handlers write it themselves, nothing rewraps a body.
 func TestAPIErrorEnvelopeOnEveryHandler(t *testing.T) {
-	_, srv := apiServer(t)
+	_, srv := boot(t, daemon.Config{})
 
 	for _, tc := range []struct {
 		method, path  string
@@ -153,7 +151,7 @@ func TestAPIErrorEnvelopeOnEveryHandler(t *testing.T) {
 		{"GET", "/decisions?since=yesterday", 400, "bad_request", ""},
 		{"DELETE", "/veps", 405, "method_not_allowed", "use GET"},
 	} {
-		req, _ := http.NewRequest(tc.method, srv.URL+apiPrefix+tc.path, nil)
+		req, _ := http.NewRequest(tc.method, srv.URL+"/api/v1"+tc.path, nil)
 		hr, err := srv.Client().Do(req)
 		if err != nil {
 			t.Fatal(err)
@@ -176,7 +174,7 @@ func TestAPIErrorEnvelopeOnEveryHandler(t *testing.T) {
 // TestAPIObservabilityAliases: the management surface is /api/v1 and
 // nothing else — the unversioned aliases are gone.
 func TestAPIObservabilityAliases(t *testing.T) {
-	d, srv := apiServer(t)
+	d, srv := boot(t, daemon.Config{Debug: true})
 	postCatalog(t, srv)
 
 	for _, tc := range []struct {
@@ -202,7 +200,7 @@ func TestAPIObservabilityAliases(t *testing.T) {
 
 	// Outside the gateway prefixes, /api/v1/ and /debug/pprof/ the mux
 	// matches nothing: not the seven former aliases, not a catch-all.
-	mux := d.routes(true)
+	mux := d.Handler().(*http.ServeMux)
 	for _, path := range []string{"/", "/metrics", "/traces", "/traces/trace-1", "/logs",
 		"/messages", "/healthz", "/readyz", "/api", "/api/v2/metrics", "/debug/vars"} {
 		if _, pat := mux.Handler(httptest.NewRequest("GET", path, nil)); pat != "" {
@@ -213,7 +211,7 @@ func TestAPIObservabilityAliases(t *testing.T) {
 		"/vep/Retailer":            "/vep/",
 		"/process/OrderingProcess": "/process/",
 		"/svc/scm/retailer-a":      "/svc/",
-		"/api/v1/traces/trace-1":   apiPrefix + "/",
+		"/api/v1/traces/trace-1":   "/api/v1/",
 		"/debug/pprof/heap":        "/debug/pprof/",
 	} {
 		if _, pat := mux.Handler(httptest.NewRequest("GET", path, nil)); !strings.HasPrefix(pat, prefix) {

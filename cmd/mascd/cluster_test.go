@@ -1,8 +1,6 @@
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -14,12 +12,8 @@ import (
 	"testing"
 	"time"
 
-	"github.com/masc-project/masc/internal/bus"
 	"github.com/masc-project/masc/internal/cluster"
-	"github.com/masc-project/masc/internal/scm"
-	"github.com/masc-project/masc/internal/telemetry"
-	"github.com/masc-project/masc/internal/telemetry/decision"
-	"github.com/masc-project/masc/internal/transport"
+	"github.com/masc-project/masc/internal/daemon"
 	"github.com/masc-project/masc/internal/workflow"
 )
 
@@ -28,10 +22,8 @@ const catalogSOAP = `<e:Envelope xmlns:e="http://schemas.xmlsoap.org/soap/envelo
 // clusterTestNode is one mascd of a multi-node test cluster.
 type clusterTestNode struct {
 	id  string
-	d   *daemon
-	cr  *clusterRuntime
+	d   *daemon.Daemon
 	srv *httptest.Server
-	dir string
 }
 
 // bootCluster starts n full daemons (store + engine + cluster runtime)
@@ -41,111 +33,105 @@ type clusterTestNode struct {
 func bootCluster(t *testing.T, n int, heartbeat time.Duration) []*clusterTestNode {
 	t.Helper()
 	nodes := make([]*clusterTestNode, n)
-	// Booted peers heartbeat a node's server before its handler is
-	// ready, so the slot is published atomically.
-	handlers := make([]atomic.Pointer[http.ServeMux], n)
+	// The advertise URL must exist before the daemon boots, and booted
+	// peers heartbeat a node's server before its daemon is ready, so
+	// each server routes through an atomically published daemon.
+	daemons := make([]atomic.Pointer[daemon.Daemon], n)
 	seeds := make([]cluster.NodeInfo, n)
 	for i := 0; i < n; i++ {
 		i := i
-		nodes[i] = &clusterTestNode{
-			id:  fmt.Sprintf("node-%d", i),
-			dir: t.TempDir(),
-		}
-		// The advertise URL must exist before the daemon boots, so the
-		// server routes through a late-bound handler.
+		nodes[i] = &clusterTestNode{id: fmt.Sprintf("node-%d", i)}
 		nodes[i].srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			h := handlers[i].Load()
-			if h == nil {
+			d := daemons[i].Load()
+			if d == nil {
 				http.Error(w, "booting", http.StatusServiceUnavailable)
 				return
 			}
-			h.ServeHTTP(w, r)
+			d.Handler().ServeHTTP(w, r)
 		}))
+		t.Cleanup(nodes[i].srv.Close)
 		seeds[i] = cluster.NodeInfo{ID: nodes[i].id, Addr: nodes[i].srv.URL}
 	}
 	for i, tn := range nodes {
-		network := transport.NewNetwork()
-		deployment, err := scm.Deploy(network, nil, scm.DeployConfig{Retailers: 2})
+		d, err := daemon.New(daemon.Config{
+			DataDir:      t.TempDir(),
+			Sync:         "always",
+			DecisionRing: 64,
+			Cluster: daemon.ClusterConfig{
+				NodeID:           tn.id,
+				Advertise:        tn.srv.URL,
+				Seeds:            seeds,
+				ReplicationLevel: 1,
+				Secret:           "soak-secret", // heartbeats and WAL fetches must authenticate
+				Heartbeat:        heartbeat,
+			},
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		tel := telemetry.New(0)
-		repo := testRepository(t, tel, defaultPolicies)
-		d := &daemon{
-			network:   network,
-			repo:      repo,
-			tel:       tel,
-			start:     time.Now(),
-			decisions: decision.NewRecorder(64, tel.Registry()),
-		}
-		st, err := openDataDir(tn.dir, "always", d, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d.st = st
-		gateway := bus.New(network,
-			bus.WithPolicyRepository(repo),
-			bus.WithTelemetry(tel),
-			bus.WithStore(st))
-		if _, err := gateway.CreateVEP(bus.VEPConfig{
-			Name:     "Retailer",
-			Services: deployment.RetailerAddrs,
-			Contract: scm.RetailerContract(),
-		}); err != nil {
-			t.Fatal(err)
-		}
-		d.gateway = gateway
-		d.engine = workflow.NewEngine(gateway, workflow.WithTelemetry(tel))
-		if err := d.setupWorkflow(); err != nil {
-			t.Fatal(err)
-		}
-		cr, err := setupCluster(d, clusterSettings{
-			nodeID:           tn.id,
-			advertise:        tn.srv.URL,
-			seeds:            seeds,
-			replicationLevel: 1,
-			secret:           "soak-secret", // heartbeats and WAL fetches must authenticate
-			heartbeat:        heartbeat,
-		}, tn.dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d.cluster = cr
-		tn.d, tn.cr = d, cr
-		cr.start()
-		handlers[i].Store(d.routes(false))
-	}
-	t.Cleanup(func() {
-		for _, tn := range nodes {
-			tn.cr.Stop()
-			if tn.d.persist != nil {
-				tn.d.persist.Close()
+		t.Cleanup(func() {
+			if err := d.Close(); err != nil {
+				t.Errorf("%s close: %v", tn.id, err)
 			}
-			_ = tn.d.st.Close()
-			tn.srv.Close()
-		}
-	})
+		})
+		tn.d = d
+		d.Start()
+		daemons[i].Store(d)
+	}
 	return nodes
 }
 
-func waitUntil(t *testing.T, timeout time.Duration, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
+// clusterStatusDoc decodes the fields of /api/v1/cluster the tests
+// assert on.
+type clusterStatusDoc struct {
+	Self    struct{ ID string }
+	Members []struct {
+		ID    string
+		State string
 	}
-	t.Fatalf("timed out waiting for %s", what)
+	Ring struct {
+		Members      []string `json:"members"`
+		VirtualNodes int      `json:"virtual_nodes"`
+	}
+	Takeovers   map[string]string
+	Replication struct {
+		Level int
+		Peer  string
+		Feed  *struct {
+			Followers map[string]struct {
+				LagBytes int64 `json:"lag_bytes"`
+			}
+		}
+	}
+}
+
+// status fetches the node's /api/v1/cluster report.
+func (tn *clusterTestNode) status(t *testing.T) clusterStatusDoc {
+	t.Helper()
+	resp, err := http.Get(tn.srv.URL + "/api/v1/cluster")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var status clusterStatusDoc
+	decodeJSON(t, resp.Body, &status)
+	return status
+}
+
+// ring rebuilds the hash ring the node reports — the ring every member
+// computes from the same IDs.
+func (tn *clusterTestNode) ring(t *testing.T) *cluster.Ring {
+	t.Helper()
+	ring := tn.status(t).Ring
+	return cluster.NewRing(ring.VirtualNodes, ring.Members...)
 }
 
 // allAlive reports whether every node sees every other node alive.
-func allAlive(nodes []*clusterTestNode) bool {
+func allAlive(t *testing.T, nodes []*clusterTestNode) bool {
 	for _, tn := range nodes {
 		alive := 0
-		for _, m := range tn.cr.node.Membership().Members() {
-			if m.State == cluster.StateAlive {
+		for _, m := range tn.status(t).Members {
+			if m.State == "alive" {
 				alive++
 			}
 		}
@@ -174,42 +160,21 @@ func postVEP(t *testing.T, url, conversation string) (int, string) {
 	return resp.StatusCode, string(body)
 }
 
-// clusterStatusDoc decodes the fields of /api/v1/cluster the tests
-// assert on.
-type clusterStatusDoc struct {
-	Self    struct{ ID string }
-	Members []struct {
-		ID    string
-		State string
-	}
-	Ring struct {
-		Members      []string `json:"members"`
-		VirtualNodes int      `json:"virtual_nodes"`
-	}
-	Replication struct {
-		Level int
-		Feed  *struct {
-			Followers map[string]struct {
-				LagBytes int64 `json:"lag_bytes"`
-			}
-		}
-	}
-}
-
 // TestClusterStatusAndForwarding boots two nodes and checks the
 // management surface: /api/v1/cluster reports membership + replication,
 // healthz grows a cluster section, and a gateway exchange keyed to the
 // peer's shard still answers (forwarded to the owner).
 func TestClusterStatusAndForwarding(t *testing.T) {
 	nodes := bootCluster(t, 2, 25*time.Millisecond)
-	waitUntil(t, 5*time.Second, "both nodes alive", func() bool { return allAlive(nodes) })
+	waitUntil(t, 5*time.Second, "both nodes alive", func() bool { return allAlive(t, nodes) })
 
 	// A key owned by node-1, posted to node-0, must be forwarded and
 	// still answer with the catalog.
 	var remoteKey string
+	ring := nodes[0].ring(t)
 	for i := 0; i < 1000; i++ {
 		k := fmt.Sprintf("conv-%d", i)
-		if nodes[0].cr.node.Owner(k) == "node-1" {
+		if ring.Owner(k) == "node-1" {
 			remoteKey = k
 			break
 		}
@@ -218,7 +183,7 @@ func TestClusterStatusAndForwarding(t *testing.T) {
 	if code != http.StatusOK || !strings.Contains(body, "getCatalogResponse") {
 		t.Fatalf("forwarded exchange: status=%d body=%q", code, body)
 	}
-	if got := nodes[1].cr.node.Status(); got.Self.ID != "node-1" {
+	if got := nodes[1].status(t); got.Self.ID != "node-1" {
 		t.Fatalf("status self = %+v", got.Self)
 	}
 
@@ -226,15 +191,7 @@ func TestClusterStatusAndForwarding(t *testing.T) {
 	// with the local feed, and (eventually) a lag-free follower ack.
 	var status clusterStatusDoc
 	waitUntil(t, 10*time.Second, "node-1 follower acked on node-0", func() bool {
-		resp, err := http.Get(nodes[0].srv.URL + "/api/v1/cluster")
-		if err != nil {
-			return false
-		}
-		defer resp.Body.Close()
-		status = clusterStatusDoc{}
-		if err := json.NewDecoder(resp.Body).Decode(&status); err != nil {
-			return false
-		}
+		status = nodes[0].status(t)
 		if status.Replication.Feed == nil {
 			return false
 		}
@@ -252,17 +209,7 @@ func TestClusterStatusAndForwarding(t *testing.T) {
 	}
 
 	// healthz cluster section.
-	resp, err := http.Get(nodes[0].srv.URL + "/api/v1/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var health struct {
-		Cluster *clusterHealth `json:"cluster"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
-		t.Fatal(err)
-	}
+	health := getHealth(t, nodes[0].srv)
 	if health.Cluster == nil || health.Cluster.Node != "node-0" || health.Cluster.MembersAlive != 2 {
 		t.Fatalf("healthz cluster = %+v", health.Cluster)
 	}
@@ -288,19 +235,13 @@ func TestClusterStatusAndForwarding(t *testing.T) {
 // while the survivors keep serving.
 func TestClusterFailoverSoak(t *testing.T) {
 	nodes := bootCluster(t, 3, 40*time.Millisecond)
-	waitUntil(t, 10*time.Second, "all three nodes alive", func() bool { return allAlive(nodes) })
+	waitUntil(t, 10*time.Second, "all three nodes alive", func() bool { return allAlive(t, nodes) })
 
 	// node-1 is the victim; its takeover successor (and WAL follower)
 	// is node-2, the next ID in sorted order.
 	victim, heir, other := nodes[1], nodes[2], nodes[0]
 	waitUntil(t, 10*time.Second, "heir following victim WAL", func() bool {
-		victim.cr.mu.Lock()
-		peer := victim.cr.peer
-		victim.cr.mu.Unlock()
-		_ = peer // victim follows node-0; what matters is the heir:
-		heir.cr.mu.Lock()
-		defer heir.cr.mu.Unlock()
-		return heir.cr.peer == victim.id
+		return heir.status(t).Replication.Peer == victim.id
 	})
 
 	// Background load against the survivors for the whole soak; every
@@ -334,7 +275,7 @@ func TestClusterFailoverSoak(t *testing.T) {
 	const instances = 8
 	created := map[string]bool{}
 	for i := 0; i < instances; i++ {
-		inst, err := victim.d.engine.CreateInstance("OrderingProcess", defaultProcessInputs())
+		inst, err := victim.d.Engine().CreateInstance("OrderingProcess", orderingInputs())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -342,32 +283,35 @@ func TestClusterFailoverSoak(t *testing.T) {
 	}
 	// The replication gate: every checkpoint on stable storage at one
 	// follower before the crash.
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := victim.cr.feed.WaitReplicated(ctx, 1); err != nil {
-		t.Fatalf("WaitReplicated: %v", err)
-	}
+	waitUntil(t, 10*time.Second, "heir acknowledged the victim's WAL", func() bool {
+		feed := victim.status(t).Replication.Feed
+		if feed == nil {
+			return false
+		}
+		f, ok := feed.Followers[heir.id]
+		return ok && f.LagBytes == 0
+	})
 
 	// Crash: no clean shutdown — the store is abandoned mid-flight and
 	// the listener vanishes.
-	victim.cr.Stop()
-	victim.d.st.Abandon()
+	victim.d.Store().Abandon()
 	victim.srv.Close()
+	victim.d.Close()
 
 	// The heir (and only the heir) promotes and rebuilds the victim's
 	// instances from the replicated WAL.
 	waitUntil(t, 15*time.Second, "heir recovered victim instances", func() bool {
-		return heir.d.recoveredCount() == instances
+		return getHealth(t, heir.srv).Store.RecoveredInstances == instances
 	})
-	if n := other.d.recoveredCount(); n != 0 {
+	if n := getHealth(t, other.srv).Store.RecoveredInstances; n != 0 {
 		t.Fatalf("non-heir recovered %d instances", n)
 	}
 	recovered := map[string]bool{}
-	heir.d.recMu.Lock()
-	for _, id := range heir.d.recovery.Recovered {
-		recovered[id] = true
+	for _, inst := range getInstances(t, heir.srv) {
+		if inst.Recovered {
+			recovered[inst.ID] = true
+		}
 	}
-	heir.d.recMu.Unlock()
 	for id := range created {
 		if !recovered[id] {
 			t.Fatalf("conversation lost: instance %s not recovered (got %v)", id, keys(recovered))
@@ -375,7 +319,7 @@ func TestClusterFailoverSoak(t *testing.T) {
 	}
 	// The heir's engine actually holds them, suspended and resumable.
 	for id := range created {
-		inst, err := heir.d.engine.Instance(id)
+		inst, err := heir.d.Engine().Instance(id)
 		if err != nil {
 			t.Fatalf("recovered instance %s not in heir engine: %v", id, err)
 		}
@@ -385,19 +329,20 @@ func TestClusterFailoverSoak(t *testing.T) {
 	}
 	// Ring reassignment: the survivors route the victim's shard to the
 	// heir.
-	if tk := heir.cr.node.Takeovers(); tk[victim.id] != heir.id {
+	if tk := heir.status(t).Takeovers; tk[victim.id] != heir.id {
 		t.Fatalf("heir takeover table = %v", tk)
 	}
 	// The other survivor derives the table from its own failure
 	// detector, which may declare the victim dead a beat later.
 	waitUntil(t, 15*time.Second, "survivor takeover table names the heir", func() bool {
-		return other.cr.node.Takeovers()[victim.id] == heir.id
+		return other.status(t).Takeovers[victim.id] == heir.id
 	})
 	// A key that hashed to the victim still answers on a survivor.
 	var victimKey string
+	ring := other.ring(t)
 	for i := 0; i < 10000; i++ {
 		k := fmt.Sprintf("vkey-%d", i)
-		if other.cr.node.Ring().Owner(k) == victim.id {
+		if ring.Owner(k) == victim.id {
 			victimKey = k
 			break
 		}

@@ -7,28 +7,18 @@ import (
 	"io"
 	"strconv"
 	"strings"
-	"time"
 
+	"github.com/masc-project/masc/internal/cluster"
+	"github.com/masc-project/masc/internal/daemon"
 	"github.com/masc-project/masc/internal/store"
-	"github.com/masc-project/masc/internal/telemetry/decision"
-	"github.com/masc-project/masc/internal/workflow"
 )
 
-// config is mascd's parsed command line.
+// config is mascd's parsed command line: the daemon's Config plus the
+// two flags only the command acts on.
 type config struct {
-	listen         string
-	policyPath     string
-	policyDir      string
-	dataDir        string
-	syncMode       string
-	ckpt           workflow.PersistenceOptions
-	decisionRing   int
-	decisionLog    decision.LogOptions
-	exportURL      string
-	exportInterval time.Duration
-	cluster        clusterSettings
-	debug          bool
-	version        bool
+	listen  string
+	version bool
+	daemon.Config
 }
 
 // intFlag declares an integer flag that must be at least min when it
@@ -49,34 +39,41 @@ func intFlag[T int | int64](fs *flag.FlagSet, p *T, name string, min T, usage st
 func newFlagSet(cfg *config) *flag.FlagSet {
 	fs := flag.NewFlagSet("mascd", flag.ContinueOnError)
 	fs.StringVar(&cfg.listen, "listen", ":8080", "`address` the SOAP gateway and the management API listen on")
-	fs.StringVar(&cfg.policyPath, "policies", "", "WS-Policy4MASC `file` replacing the built-in policy document")
-	fs.StringVar(&cfg.policyDir, "policy-dir", "", "`directory` of *.xml policy documents loaded as one bundle")
-	fs.StringVar(&cfg.dataDir, "data-dir", "", "`directory` of the durable WAL+snapshot store (none: in-memory only)")
-	fs.StringVar(&cfg.syncMode, "sync", "batched", "store fsync `mode`: always, batched, or off")
-	intFlag(fs, &cfg.ckpt.AnchorEvery, "ckpt-anchor-every", 1, "delta `records` per checkpoint chain before a fresh full snapshot (default 32)")
-	intFlag(fs, &cfg.ckpt.QueueDepth, "ckpt-queue", 1, "async checkpoint queue `depth`, the backpressure point (default 256)")
-	fs.BoolVar(&cfg.ckpt.DurableFinish, "ckpt-durable-finish", false, "instance completion waits for the terminal checkpoint's fsync")
-	intFlag(fs, &cfg.decisionRing, "decision-ring", 1, "decision `records` kept in memory (default 4096)")
-	intFlag(fs, &cfg.decisionLog.SegmentBytes, "decision-log-segment", 1, "`bytes` per durable decision-log segment (default 4 MiB)")
-	intFlag(fs, &cfg.decisionLog.MaxSegments, "decision-log-keep", 1, "decision-log `segments` retained (default 8)")
-	fs.StringVar(&cfg.exportURL, "export-url", "", "`URL` metric snapshots are POSTed to (none: no export)")
-	fs.DurationVar(&cfg.exportInterval, "export-interval", 15*time.Second, "`interval` between metric exports")
-	fs.StringVar(&cfg.cluster.nodeID, "node-id", "", "this node's cluster `id`; enables cluster mode")
-	fs.StringVar(&cfg.cluster.advertise, "advertise", "", "base `URL` peers reach this node at")
+	fs.StringVar(&cfg.Policies, "policies", "", "WS-Policy4MASC `file` replacing the built-in policy document")
+	fs.StringVar(&cfg.PolicyDir, "policy-dir", "", "`directory` of *.xml policy documents loaded as one bundle")
+	fs.StringVar(&cfg.DataDir, "data-dir", "", "`directory` of the durable WAL+snapshot store (none: in-memory only)")
+	fs.StringVar(&cfg.Sync, "sync", "batched", "store fsync `mode`: always, batched, or off")
+	intFlag(fs, &cfg.Checkpoint.AnchorEvery, "ckpt-anchor-every", 1, "delta `records` per checkpoint chain before a fresh full snapshot (default 32)")
+	intFlag(fs, &cfg.Checkpoint.QueueDepth, "ckpt-queue", 1, "async checkpoint queue `depth`, the backpressure point (default 256)")
+	fs.BoolVar(&cfg.Checkpoint.DurableFinish, "ckpt-durable-finish", false, "instance completion waits for the terminal checkpoint's fsync")
+	intFlag(fs, &cfg.DecisionRing, "decision-ring", 1, "decision `records` kept in memory (default 4096)")
+	intFlag(fs, &cfg.DecisionLog.SegmentBytes, "decision-log-segment", 1, "`bytes` per durable decision-log segment (default 4 MiB)")
+	intFlag(fs, &cfg.DecisionLog.MaxSegments, "decision-log-keep", 1, "decision-log `segments` retained (default 8)")
+	fs.StringVar(&cfg.Cluster.NodeID, "node-id", "", "this node's cluster `id`; enables cluster mode")
+	fs.StringVar(&cfg.Cluster.Advertise, "advertise", "", "base `URL` peers reach this node at")
 	fs.Func("cluster-seed", "peer as `id=http://host:port`; repeatable", func(s string) error {
 		seed, err := parseSeed(s)
 		if err != nil {
 			return err
 		}
-		cfg.cluster.seeds = append(cfg.cluster.seeds, seed)
+		cfg.Cluster.Seeds = append(cfg.Cluster.Seeds, seed)
 		return nil
 	})
-	intFlag(fs, &cfg.cluster.replicationLevel, "replication-level", 0, "`followers` that must acknowledge an instance's terminal checkpoint")
-	fs.StringVar(&cfg.cluster.secret, "cluster-secret", "", "shared `token` required on heartbeats and WAL fetches")
-	fs.DurationVar(&cfg.cluster.heartbeat, "cluster-heartbeat", 0, "failure-detector `interval` (default 1s)")
-	fs.BoolVar(&cfg.debug, "debug", false, "mount /debug/pprof")
+	intFlag(fs, &cfg.Cluster.ReplicationLevel, "replication-level", 0, "`followers` that must acknowledge an instance's terminal checkpoint")
+	fs.StringVar(&cfg.Cluster.Secret, "cluster-secret", "", "shared `token` required on heartbeats and WAL fetches")
+	fs.DurationVar(&cfg.Cluster.Heartbeat, "cluster-heartbeat", 0, "failure-detector `interval` (default 1s)")
+	fs.BoolVar(&cfg.Debug, "debug", false, "mount /debug/pprof")
 	fs.BoolVar(&cfg.version, "version", false, "print the version and exit")
 	return fs
+}
+
+// parseSeed parses one -cluster-seed value, "id=http://host:port".
+func parseSeed(s string) (cluster.NodeInfo, error) {
+	id, addr, ok := strings.Cut(s, "=")
+	if !ok || id == "" || addr == "" {
+		return cluster.NodeInfo{}, fmt.Errorf("-cluster-seed: want id=http://host:port, got %q", s)
+	}
+	return cluster.NodeInfo{ID: id, Addr: strings.TrimRight(addr, "/")}, nil
 }
 
 // parseFlags turns the command line into a config, rejecting anything
@@ -96,14 +93,14 @@ func parseFlags(args []string, usage io.Writer) (*config, error) {
 	if fs.NArg() > 0 {
 		return nil, fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	}
-	if _, err := store.ParseSyncMode(cfg.syncMode); err != nil {
+	if _, err := store.ParseSyncMode(cfg.Sync); err != nil {
 		return nil, fmt.Errorf("-sync: %w", err)
 	}
-	if cfg.policyPath != "" && cfg.policyDir != "" {
+	if cfg.Policies != "" && cfg.PolicyDir != "" {
 		return nil, fmt.Errorf("-policies and -policy-dir are mutually exclusive")
 	}
-	cfg.cluster.advertise = strings.TrimRight(cfg.cluster.advertise, "/")
-	if cfg.cluster.enabled() && cfg.cluster.advertise == "" {
+	cfg.Cluster.Advertise = strings.TrimRight(cfg.Cluster.Advertise, "/")
+	if cfg.Cluster.NodeID != "" && cfg.Cluster.Advertise == "" {
 		return nil, fmt.Errorf("-node-id requires -advertise (peers must be able to reach this node)")
 	}
 	return cfg, nil

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"github.com/masc-project/masc/internal/cluster"
+	"github.com/masc-project/masc/internal/daemon"
 )
 
 // TestParseFlagsBenchmarkVectors pins the two command lines the
@@ -25,14 +26,12 @@ func TestParseFlagsBenchmarkVectors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := &config{
-		listen:         "127.0.0.1:0",
-		policyDir:      "benchmark/policies",
-		dataDir:        "/tmp/d",
-		syncMode:       "batched",
-		exportInterval: 15 * time.Second,
-		debug:          true,
-	}
+	want := &config{listen: "127.0.0.1:0", Config: daemon.Config{
+		PolicyDir: "benchmark/policies",
+		DataDir:   "/tmp/d",
+		Sync:      "batched",
+		Debug:     true,
+	}}
 	if !reflect.DeepEqual(cfg, want) {
 		t.Fatalf("stock vector:\n got %+v\nwant %+v", cfg, want)
 	}
@@ -44,15 +43,15 @@ func TestParseFlagsBenchmarkVectors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want.cluster = clusterSettings{
-		nodeID:    "a",
-		advertise: "http://127.0.0.1:9001",
-		seeds: []cluster.NodeInfo{
+	want.Cluster = daemon.ClusterConfig{
+		NodeID:    "a",
+		Advertise: "http://127.0.0.1:9001",
+		Seeds: []cluster.NodeInfo{
 			{ID: "b", Addr: "http://127.0.0.1:9002"},
 			{ID: "c", Addr: "http://127.0.0.1:9003"},
 		},
-		replicationLevel: 1,
-		heartbeat:        200 * time.Millisecond,
+		ReplicationLevel: 1,
+		Heartbeat:        200 * time.Millisecond,
 	}
 	if !reflect.DeepEqual(cfg, want) {
 		t.Fatalf("cluster vector:\n got %+v\nwant %+v", cfg, want)
@@ -60,7 +59,7 @@ func TestParseFlagsBenchmarkVectors(t *testing.T) {
 
 	// The -x=v and --x spellings are accepted too.
 	cfg, err = parseFlags([]string{"--listen=:9", "-ckpt-queue=7", "-ckpt-durable-finish"}, nil)
-	if err != nil || cfg.listen != ":9" || cfg.ckpt.QueueDepth != 7 || !cfg.ckpt.DurableFinish {
+	if err != nil || cfg.listen != ":9" || cfg.Checkpoint.QueueDepth != 7 || !cfg.Checkpoint.DurableFinish {
 		t.Fatalf("cfg = %+v err = %v", cfg, err)
 	}
 }
@@ -84,7 +83,6 @@ func TestParseFlagsRejects(t *testing.T) {
 		{[]string{"-node-id", "a"}, "-advertise"},
 		{[]string{"-sync", "bogus"}, "-sync"},
 		{[]string{"-cluster-seed", "no-equals-sign"}, "-cluster-seed"},
-		{[]string{"-export-interval", "soon"}, "-export-interval"},
 		{[]string{"-cluster-heartbeat", "soon"}, "-cluster-heartbeat"},
 		{[]string{"-replication-level", "-1"}, "-replication-level"},
 		{[]string{"-replication-level", "many"}, "-replication-level"},

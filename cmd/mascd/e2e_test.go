@@ -8,68 +8,14 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
-	"github.com/masc-project/masc/internal/bus"
-	"github.com/masc-project/masc/internal/policy"
+	"github.com/masc-project/masc/internal/daemon"
 	"github.com/masc-project/masc/internal/scm"
 	"github.com/masc-project/masc/internal/soap"
 	"github.com/masc-project/masc/internal/telemetry"
 	"github.com/masc-project/masc/internal/telemetry/decision"
 	"github.com/masc-project/masc/internal/transport"
-	"github.com/masc-project/masc/internal/workflow"
 )
-
-// e2ePolicies is the Table 1 recovery policy with test-speed delays:
-// retry the faulty service once, then substitute another retailer.
-const e2ePolicies = `
-<PolicyDocument xmlns="urn:masc:ws-policy4masc" name="gateway-recovery">
-  <AdaptationPolicy name="retry-then-failover" subject="vep:Retailer" priority="10" kind="correction">
-    <OnEvent type="fault.detected"/>
-    <Actions>
-      <Retry maxAttempts="1" delay="1ms"/>
-      <Substitute selection="first"/>
-    </Actions>
-  </AdaptationPolicy>
-</PolicyDocument>`
-
-// e2eDaemon builds a daemon whose Retailer VEP lists a dead backend
-// first, so every request exercises retry + failover before
-// succeeding on a live retailer.
-func e2eDaemon(t *testing.T) *daemon {
-	t.Helper()
-	network := transport.NewNetwork()
-	deployment, err := scm.Deploy(network, nil, scm.DeployConfig{Retailers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tel := telemetry.New(0)
-	repo := testRepository(t, tel, e2ePolicies)
-	dec := decision.NewRecorder(0, tel.Registry())
-	gateway := bus.New(network, bus.WithPolicyRepository(repo), bus.WithTelemetry(tel),
-		bus.WithDecisions(dec))
-	if _, err := gateway.CreateVEP(bus.VEPConfig{
-		Name:      "Retailer",
-		Services:  append([]string{"inproc://scm/dead"}, deployment.RetailerAddrs...),
-		Contract:  scm.RetailerContract(),
-		Selection: policy.SelectFirst,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	d := &daemon{
-		gateway:   gateway,
-		network:   network,
-		repo:      repo,
-		tel:       tel,
-		start:     time.Now(),
-		engine:    workflow.NewEngine(gateway, workflow.WithTelemetry(tel)),
-		decisions: dec,
-	}
-	if err := d.setupWorkflow(); err != nil {
-		t.Fatal(err)
-	}
-	return d
-}
 
 // journalEntry mirrors the telemetry.Entry JSON shape the endpoints
 // serve, with the level decoded as its name.
@@ -112,9 +58,7 @@ func getJournal(t *testing.T, srv *httptest.Server, path string) []journalEntry 
 // SLA/fault audit trail all share the correlation ID of the trace at
 // /traces/{id}.
 func TestGatewayExchangeFullyCorrelated(t *testing.T) {
-	d := e2eDaemon(t)
-	srv := httptest.NewServer(d.routes(false))
-	defer srv.Close()
+	_, srv := bootDeadFirst(t, daemon.Config{})
 
 	inv := &transport.HTTPInvoker{}
 	req := soap.NewRequest(scm.NewGetCatalogRequest("tv", 0))
@@ -214,8 +158,8 @@ func TestGatewayExchangeFullyCorrelated(t *testing.T) {
 	}
 	// Both links resolve on the surface that served the trace.
 	for _, link := range []string{det.LogsURL, det.MessagesURL} {
-		if !strings.HasPrefix(link, apiPrefix+"/") {
-			t.Fatalf("journal link %q leaves %s", link, apiPrefix)
+		if !strings.HasPrefix(link, "/api/v1/") {
+			t.Fatalf("journal link %q leaves /api/v1", link)
 		}
 		if entries := getJournal(t, srv, link); len(entries) == 0 {
 			t.Fatalf("journal link %q lists no entries", link)
@@ -272,9 +216,7 @@ func TestGatewayExchangeFullyCorrelated(t *testing.T) {
 // carrying a MASC TraceID header and asserts the gateway joins that
 // trace instead of starting a fresh one.
 func TestGatewayAdoptsPropagatedTraceContext(t *testing.T) {
-	d := e2eDaemon(t)
-	srv := httptest.NewServer(d.routes(false))
-	defer srv.Close()
+	_, srv := bootDeadFirst(t, daemon.Config{})
 
 	inv := &transport.HTTPInvoker{}
 	req := soap.NewRequest(scm.NewGetCatalogRequest("tv", 0))

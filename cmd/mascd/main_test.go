@@ -4,74 +4,27 @@ import (
 	"context"
 	"encoding/json"
 	"io"
-	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/masc-project/masc/internal/bus"
+	"github.com/masc-project/masc/internal/daemon"
 	"github.com/masc-project/masc/internal/policy"
 	"github.com/masc-project/masc/internal/scm"
 	"github.com/masc-project/masc/internal/soap"
 	"github.com/masc-project/masc/internal/telemetry"
 	"github.com/masc-project/masc/internal/transport"
-	"github.com/masc-project/masc/internal/workflow"
 	"github.com/masc-project/masc/internal/wsdl"
 )
 
-func testGateway(t *testing.T) (*bus.Bus, *transport.Network) {
-	d := testDaemon(t)
-	return d.gateway, d.network
-}
-
-// testRepository mirrors run(): the daemon's compiling repository,
-// holding one policy document.
-func testRepository(t *testing.T, tel *telemetry.Telemetry, policyXML string) *policy.Repository {
-	t.Helper()
-	repo, err := newRepository(tel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := repo.LoadXML(policyXML); err != nil {
-		t.Fatal(err)
-	}
-	return repo
-}
-
-func testDaemon(t *testing.T) *daemon {
-	t.Helper()
-	network := transport.NewNetwork()
-	deployment, err := scm.Deploy(network, nil, scm.DeployConfig{Retailers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tel := telemetry.New(0)
-	repo := testRepository(t, tel, defaultPolicies)
-	gateway := bus.New(network, bus.WithPolicyRepository(repo), bus.WithTelemetry(tel))
-	if _, err := gateway.CreateVEP(bus.VEPConfig{
-		Name:     "Retailer",
-		Services: deployment.RetailerAddrs,
-		Contract: scm.RetailerContract(),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	d := &daemon{
-		gateway: gateway,
-		network: network,
-		repo:    repo,
-		tel:     tel,
-		start:   time.Now(),
-		engine:  workflow.NewEngine(gateway, workflow.WithTelemetry(tel)),
-	}
-	if err := d.setupWorkflow(); err != nil {
-		t.Fatal(err)
-	}
-	return d
-}
-
+// TestDefaultPoliciesValid fetches the built-in document — what mascd
+// loads when neither -policies nor -policy-dir is given — and checks
+// it parses and validates.
 func TestDefaultPoliciesValid(t *testing.T) {
-	doc, err := policy.ParseString(defaultPolicies)
+	_, srv := boot(t, daemon.Config{})
+	doc, err := policy.ParseString(builtinPolicies(t, srv))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,14 +34,12 @@ func TestDefaultPoliciesValid(t *testing.T) {
 }
 
 func TestVEPHandlerOverHTTP(t *testing.T) {
-	gateway, _ := testGateway(t)
-	srv := httptest.NewServer(vepHandler(gateway, nil))
-	defer srv.Close()
+	_, srv := boot(t, daemon.Config{})
 
 	inv := &transport.HTTPInvoker{}
 	req := soap.NewRequest(scm.NewGetCatalogRequest("tv", 0))
 	soap.Addressing{To: "vep:Retailer", Action: "getCatalog"}.Apply(req)
-	resp, err := inv.Invoke(context.Background(), srv.URL, req)
+	resp, err := inv.Invoke(context.Background(), srv.URL+"/vep/Retailer", req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,13 +49,11 @@ func TestVEPHandlerOverHTTP(t *testing.T) {
 }
 
 func TestVEPHandlerDefaultsToRetailer(t *testing.T) {
-	gateway, _ := testGateway(t)
-	srv := httptest.NewServer(vepHandler(gateway, nil))
-	defer srv.Close()
+	_, srv := boot(t, daemon.Config{})
 
 	inv := &transport.HTTPInvoker{}
 	req := soap.NewRequest(scm.NewGetCatalogRequest("", 0)) // no To header
-	resp, err := inv.Invoke(context.Background(), srv.URL, req)
+	resp, err := inv.Invoke(context.Background(), srv.URL+"/vep/", req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,9 +63,7 @@ func TestVEPHandlerDefaultsToRetailer(t *testing.T) {
 }
 
 func TestDirectHandlerRoutesByPath(t *testing.T) {
-	_, network := testGateway(t)
-	srv := httptest.NewServer(directHandler(network))
-	defer srv.Close()
+	_, srv := boot(t, daemon.Config{})
 
 	inv := &transport.HTTPInvoker{}
 	req := soap.NewRequest(scm.NewGetCatalogRequest("audio", 0))
@@ -159,11 +106,9 @@ func TestRunRejectsBadFlags(t *testing.T) {
 }
 
 func TestVEPHandlerPublishesWSDL(t *testing.T) {
-	gateway, _ := testGateway(t)
-	srv := httptest.NewServer(vepHandler(gateway, nil))
-	defer srv.Close()
+	_, srv := boot(t, daemon.Config{})
 
-	resp, err := srv.Client().Get(srv.URL + "/Retailer?wsdl")
+	resp, err := srv.Client().Get(srv.URL + "/vep/Retailer?wsdl")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +129,7 @@ func TestVEPHandlerPublishesWSDL(t *testing.T) {
 	}
 
 	// Unknown VEP → 404.
-	resp2, err := srv.Client().Get(srv.URL + "/Ghost?wsdl")
+	resp2, err := srv.Client().Get(srv.URL + "/vep/Ghost?wsdl")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,9 +152,7 @@ func postCatalog(t *testing.T, srv *httptest.Server) *soap.Envelope {
 }
 
 func TestMetricsEndpointAfterTraffic(t *testing.T) {
-	d := testDaemon(t)
-	srv := httptest.NewServer(d.routes(false))
-	defer srv.Close()
+	_, srv := boot(t, daemon.Config{})
 
 	if resp := postCatalog(t, srv); resp.IsFault() {
 		t.Fatalf("fault: %v", resp.Fault)
@@ -240,9 +183,7 @@ func TestMetricsEndpointAfterTraffic(t *testing.T) {
 }
 
 func TestTracesEndpointShowsSpanTree(t *testing.T) {
-	d := testDaemon(t)
-	srv := httptest.NewServer(d.routes(false))
-	defer srv.Close()
+	_, srv := boot(t, daemon.Config{})
 	postCatalog(t, srv)
 
 	hr, err := srv.Client().Get(srv.URL + "/api/v1/traces")
@@ -290,9 +231,7 @@ func TestTracesEndpointShowsSpanTree(t *testing.T) {
 }
 
 func TestHealthzJSON(t *testing.T) {
-	d := testDaemon(t)
-	srv := httptest.NewServer(d.routes(false))
-	defer srv.Close()
+	_, srv := boot(t, daemon.Config{})
 
 	hr, err := srv.Client().Get(srv.URL + "/api/v1/healthz")
 	if err != nil {
@@ -324,9 +263,7 @@ func TestHealthzJSON(t *testing.T) {
 }
 
 func TestHealthzReportsVersionAndLatency(t *testing.T) {
-	d := testDaemon(t)
-	srv := httptest.NewServer(d.routes(false))
-	defer srv.Close()
+	_, srv := boot(t, daemon.Config{})
 	postCatalog(t, srv)
 
 	hr, err := srv.Client().Get(srv.URL + "/api/v1/healthz")
@@ -366,9 +303,7 @@ func TestVersionFlag(t *testing.T) {
 }
 
 func TestReadyzReflectsBackendQoS(t *testing.T) {
-	d := testDaemon(t)
-	srv := httptest.NewServer(d.routes(false))
-	defer srv.Close()
+	_, srv := boot(t, daemon.Config{})
 
 	// Before traffic: unmeasured backends are assumed healthy.
 	hr, err := srv.Client().Get(srv.URL + "/api/v1/readyz")
@@ -416,9 +351,7 @@ func TestReadyzReflectsBackendQoS(t *testing.T) {
 }
 
 func TestPprofGatedByDebugFlag(t *testing.T) {
-	d := testDaemon(t)
-	plain := httptest.NewServer(d.routes(false))
-	defer plain.Close()
+	_, plain := boot(t, daemon.Config{})
 	hr, err := plain.Client().Get(plain.URL + "/debug/pprof/")
 	if err != nil {
 		t.Fatal(err)
@@ -428,8 +361,7 @@ func TestPprofGatedByDebugFlag(t *testing.T) {
 		t.Fatalf("pprof without -debug: status = %d, want 404", hr.StatusCode)
 	}
 
-	dbg := httptest.NewServer(d.routes(true))
-	defer dbg.Close()
+	_, dbg := boot(t, daemon.Config{Debug: true})
 	hr2, err := dbg.Client().Get(dbg.URL + "/debug/pprof/")
 	if err != nil {
 		t.Fatal(err)
@@ -440,31 +372,57 @@ func TestPprofGatedByDebugFlag(t *testing.T) {
 	}
 }
 
-func TestDrainWaitsForInflight(t *testing.T) {
-	d := testDaemon(t)
-	release := make(chan struct{})
-	entered := make(chan struct{})
-	h := d.track(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
-		close(entered)
-		<-release
-	}))
-	srv := httptest.NewServer(h)
-	defer srv.Close()
+// parkModule is a VEP pipeline module that holds every request until
+// released.
+type parkModule struct {
+	entered chan struct{}
+	release chan struct{}
+}
 
-	go srv.Client().Get(srv.URL)
-	<-entered
+func (*parkModule) ModuleName() string { return "park" }
+
+func (m *parkModule) ProcessRequest(*bus.MessageContext) error {
+	m.entered <- struct{}{}
+	<-m.release
+	return nil
+}
+
+func (*parkModule) ProcessResponse(*bus.MessageContext) error { return nil }
+
+func TestDrainWaitsForInflight(t *testing.T) {
+	d, srv := boot(t, daemon.Config{})
+	park := &parkModule{entered: make(chan struct{}), release: make(chan struct{})}
+	v, err := d.Gateway().VEP("Retailer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v.Pipeline().Append(park)
+
+	served := make(chan error, 1)
+	go func() {
+		req := soap.NewRequest(scm.NewGetCatalogRequest("tv", 0))
+		resp, err := (&transport.HTTPInvoker{}).Invoke(context.Background(), srv.URL+"/vep/Retailer", req)
+		if err == nil && resp.IsFault() {
+			err = resp.Fault
+		}
+		served <- err
+	}()
+	<-park.entered
 
 	// While the request is parked, a short drain times out.
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	if err := d.drain(ctx); err == nil {
+	if err := d.Drain(ctx); err == nil {
 		t.Fatal("drain succeeded with a request in flight")
 	}
 
-	close(release)
+	close(park.release)
+	if err := <-served; err != nil {
+		t.Fatalf("parked request: %v", err)
+	}
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel2()
-	if err := d.drain(ctx2); err != nil {
+	if err := d.Drain(ctx2); err != nil {
 		t.Fatalf("drain after release: %v", err)
 	}
 }

@@ -4,87 +4,44 @@ import (
 	"context"
 	"encoding/json"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/masc-project/masc/internal/bus"
+	"github.com/masc-project/masc/internal/daemon"
 	"github.com/masc-project/masc/internal/event"
 	"github.com/masc-project/masc/internal/policy"
 	"github.com/masc-project/masc/internal/scm"
 	"github.com/masc-project/masc/internal/soap"
-	"github.com/masc-project/masc/internal/telemetry"
 	"github.com/masc-project/masc/internal/telemetry/flightrec"
 	"github.com/masc-project/masc/internal/telemetry/slo"
 	"github.com/masc-project/masc/internal/transport"
-	"github.com/masc-project/masc/internal/workflow"
 )
 
-// testObservabilityDaemon builds a daemon with the full self-
-// observation stack wired — SLO engine, flight recorder, event bus —
-// plus a "Flaky" VEP whose only backend does not exist, so every
+// flakyPolicies gives vep:Retailer an availability objective the SLO
+// engine evaluates after three samples, and no recovery policy, so a
+// fault reaches the caller at once.
+const flakyPolicies = `
+<PolicyDocument xmlns="urn:masc:ws-policy4masc" name="gateway-recovery">
+  <MonitoringPolicy name="retailer-sla" subject="vep:Retailer">
+    <QoSThreshold name="availability-sla" metric="availability" min="0.99" minSamples="3"/>
+  </MonitoringPolicy>
+</PolicyDocument>`
+
+// bootFlaky boots a daemon with the full self-observation stack on
+// disk (flight recorder, decision log) whose Retailer VEP is
+// reconfigured to a single backend that does not exist, so every
 // invocation is a classified fault.
-func testObservabilityDaemon(t *testing.T) (*daemon, *flightrec.Recorder) {
+func bootFlaky(t *testing.T) (*daemon.Daemon, *httptest.Server) {
 	t.Helper()
-	network := transport.NewNetwork()
-	deployment, err := scm.Deploy(network, nil, scm.DeployConfig{Retailers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tel := telemetry.New(64)
-	repo := testRepository(t, tel, defaultPolicies)
-	events := event.NewBus()
-	gateway := bus.New(network,
-		bus.WithPolicyRepository(repo),
-		bus.WithTelemetry(tel),
-		bus.WithEventBus(events))
-	if _, err := gateway.CreateVEP(bus.VEPConfig{
-		Name:     "Retailer",
-		Services: deployment.RetailerAddrs,
-		Contract: scm.RetailerContract(),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := gateway.CreateVEP(bus.VEPConfig{
-		Name:     "Flaky",
-		Services: []string{"svc/scm/missing"},
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	engine := slo.NewEngine(
-		[]slo.Objective{{Subject: "vep:Flaky", Availability: 0.99, MinSamples: 3}},
-		slo.Options{Registry: tel.Registry(), Journal: tel.Logs()})
-	gateway.SetInvocationObserver(engine)
-
-	rec, err := flightrec.New(flightrec.Options{
-		Dir:         filepath.Join(t.TempDir(), "flightrec"),
-		Telemetry:   tel,
-		SettleDelay: 50 * time.Millisecond,
-		MinInterval: time.Nanosecond,
-		SLOState:    func() interface{} { return engine.Status() },
+	d, srv := boot(t, daemon.Config{
+		Policies: policyFile(t, flakyPolicies),
+		DataDir:  t.TempDir(),
+		Sync:     "batched",
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec.Attach(events)
-	t.Cleanup(rec.Close)
-
-	d := &daemon{
-		gateway: gateway,
-		network: network,
-		repo:    repo,
-		tel:     tel,
-		start:   time.Now(),
-		engine:  workflow.NewEngine(gateway, workflow.WithTelemetry(tel)),
-		slo:     engine,
-		flight:  rec,
-	}
-	if err := d.setupWorkflow(); err != nil {
-		t.Fatal(err)
-	}
-	return d, rec
+	retailerServices(t, d, func([]string) []string { return []string{"svc/scm/missing"} })
+	return d, srv
 }
 
 // failFlaky drives one doomed invocation through the gateway's HTTP
@@ -93,24 +50,41 @@ func failFlaky(t *testing.T, srv *httptest.Server) {
 	t.Helper()
 	inv := &transport.HTTPInvoker{}
 	req := soap.NewRequest(scm.NewGetCatalogRequest("tv", 0))
-	soap.Addressing{To: "vep:Flaky", Action: "getCatalog"}.Apply(req)
-	resp, err := inv.Invoke(context.Background(), srv.URL+"/vep/Flaky", req)
+	soap.Addressing{To: "vep:Retailer", Action: "getCatalog"}.Apply(req)
+	resp, err := inv.Invoke(context.Background(), srv.URL+"/vep/Retailer", req)
 	if err == nil && !resp.IsFault() {
 		t.Fatal("invocation of the missing backend succeeded")
 	}
 }
 
+// getBundles lists the flight recorder's stored bundles.
+func getBundles(t *testing.T, srv *httptest.Server) []flightrec.Summary {
+	t.Helper()
+	hr, err := srv.Client().Get(srv.URL + "/api/v1/flightrec")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hr.Body.Close()
+	var listing struct {
+		Bundles []flightrec.Summary `json:"bundles"`
+	}
+	decodeJSON(t, hr.Body, &listing)
+	return listing.Bundles
+}
+
 func TestObservabilityEndToEnd(t *testing.T) {
-	d, rec := testObservabilityDaemon(t)
-	srv := httptest.NewServer(d.routes(false))
-	defer srv.Close()
+	_, srv := bootFlaky(t)
 
 	for i := 0; i < 6; i++ {
 		failFlaky(t, srv)
 	}
-	if !rec.WaitIdle(10 * time.Second) {
-		t.Fatal("flight recorder never went idle")
-	}
+	// The recorder captures asynchronously, after the triggering
+	// exchange has settled.
+	var bundles []flightrec.Summary
+	waitUntil(t, 10*time.Second, "a flight-recorder bundle", func() bool {
+		bundles = getBundles(t, srv)
+		return len(bundles) > 0
+	})
 
 	// The SLO report shows the burned budget.
 	hr, err := srv.Client().Get(srv.URL + "/api/v1/slo")
@@ -122,11 +96,11 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	hr.Body.Close()
-	if len(report.Subjects) != 1 || report.Subjects[0].Subject != "vep:Flaky" {
+	if len(report.Subjects) != 1 || report.Subjects[0].Subject != "vep:Retailer" {
 		t.Fatalf("slo subjects = %+v", report.Subjects)
 	}
 	if !report.Subjects[0].Burning {
-		t.Fatalf("vep:Flaky not burning: %+v", report.Subjects[0])
+		t.Fatalf("vep:Retailer not burning: %+v", report.Subjects[0])
 	}
 	var availBudget float64 = -1
 	for _, s := range report.Subjects[0].SLIs {
@@ -155,30 +129,15 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	if hr2.StatusCode != 503 || ready.Status != "degraded" {
 		t.Fatalf("readyz = %d %+v", hr2.StatusCode, ready)
 	}
-	if len(ready.SLOBurning) != 1 || ready.SLOBurning[0] != "vep:Flaky" {
+	if len(ready.SLOBurning) != 1 || ready.SLOBurning[0] != "vep:Retailer" {
 		t.Fatalf("slo_burning = %v", ready.SLOBurning)
 	}
-	if !strings.Contains(strings.Join(ready.Reasons, "\n"), "slo vep:Flaky") {
+	if !strings.Contains(strings.Join(ready.Reasons, "\n"), "slo vep:Retailer") {
 		t.Fatalf("reasons = %v, want an slo reason", ready.Reasons)
 	}
 
-	// The flight recorder captured fetchable bundles.
-	hr3, err := srv.Client().Get(srv.URL + "/api/v1/flightrec")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var listing struct {
-		Bundles []flightrec.Summary `json:"bundles"`
-	}
-	if err := json.NewDecoder(hr3.Body).Decode(&listing); err != nil {
-		t.Fatal(err)
-	}
-	hr3.Body.Close()
-	if len(listing.Bundles) == 0 {
-		t.Fatal("no flight-recorder bundles after classified faults")
-	}
-
-	hr4, err := srv.Client().Get(srv.URL + "/api/v1/flightrec/" + listing.Bundles[0].ID)
+	// The flight recorder's bundles are fetchable.
+	hr4, err := srv.Client().Get(srv.URL + "/api/v1/flightrec/" + bundles[0].ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,8 +185,8 @@ func TestObservabilityEndToEnd(t *testing.T) {
 }
 
 func TestReadyzDegradedWhenAllBreakersOpen(t *testing.T) {
-	d := testDaemon(t)
-	if _, err := d.gateway.CreateVEP(bus.VEPConfig{
+	d, srv := boot(t, daemon.Config{})
+	if _, err := d.Gateway().CreateVEP(bus.VEPConfig{
 		Name:     "Guarded",
 		Services: []string{"svc/scm/missing"},
 		Protection: &policy.ProtectionPolicy{
@@ -244,11 +203,9 @@ func TestReadyzDegradedWhenAllBreakersOpen(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		req := soap.NewRequest(scm.NewGetCatalogRequest("tv", 0))
 		soap.Addressing{To: "vep:Guarded", Action: "getCatalog"}.Apply(req)
-		_, _ = d.gateway.Invoke(context.Background(), "vep:Guarded", req)
+		_, _ = d.Gateway().Invoke(context.Background(), "vep:Guarded", req)
 	}
 
-	srv := httptest.NewServer(d.routes(false))
-	defer srv.Close()
 	hr, err := srv.Client().Get(srv.URL + "/api/v1/readyz")
 	if err != nil {
 		t.Fatal(err)
@@ -290,13 +247,10 @@ func TestReadyzDegradedWhenAllBreakersOpen(t *testing.T) {
 	}
 }
 
-// TestObservabilityEndpointsNilSafe covers the testDaemon shape — no
-// SLO engine, no flight recorder — which is also mascd without
-// -data-dir.
+// TestObservabilityEndpointsNilSafe covers mascd without -data-dir:
+// the SLO engine tracks the VEP, but no flight recorder is attached.
 func TestObservabilityEndpointsNilSafe(t *testing.T) {
-	d := testDaemon(t)
-	srv := httptest.NewServer(d.routes(false))
-	defer srv.Close()
+	_, srv := boot(t, daemon.Config{})
 
 	hr, err := srv.Client().Get(srv.URL + "/api/v1/slo")
 	if err != nil {
@@ -307,23 +261,13 @@ func TestObservabilityEndpointsNilSafe(t *testing.T) {
 		t.Fatal(err)
 	}
 	hr.Body.Close()
-	if hr.StatusCode != 200 || len(report.Subjects) != 0 {
-		t.Fatalf("nil-engine slo = %d %+v", hr.StatusCode, report)
+	if hr.StatusCode != 200 || len(report.Subjects) != 1 ||
+		report.Subjects[0].Subject != "vep:Retailer" || report.Subjects[0].Burning {
+		t.Fatalf("idle slo = %d %+v", hr.StatusCode, report)
 	}
 
-	hr2, err := srv.Client().Get(srv.URL + "/api/v1/flightrec")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var listing struct {
-		Bundles []flightrec.Summary `json:"bundles"`
-	}
-	if err := json.NewDecoder(hr2.Body).Decode(&listing); err != nil {
-		t.Fatal(err)
-	}
-	hr2.Body.Close()
-	if hr2.StatusCode != 200 || len(listing.Bundles) != 0 {
-		t.Fatalf("nil-recorder flightrec = %d %+v", hr2.StatusCode, listing)
+	if bundles := getBundles(t, srv); len(bundles) != 0 {
+		t.Fatalf("nil-recorder flightrec = %+v", bundles)
 	}
 
 	hr3, err := srv.Client().Get(srv.URL + "/api/v1/flightrec/fr-000001-x")
@@ -335,27 +279,24 @@ func TestObservabilityEndpointsNilSafe(t *testing.T) {
 		t.Fatalf("nil-recorder bundle fetch = %d, want 404", hr3.StatusCode)
 	}
 
-	// readyz stays 200 with no SLO engine and healthy backends.
+	// readyz stays 200 with an idle SLO engine and healthy backends.
 	hr4, err := srv.Client().Get(srv.URL + "/api/v1/readyz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	hr4.Body.Close()
 	if hr4.StatusCode != 200 {
-		t.Fatalf("readyz without slo engine = %d", hr4.StatusCode)
+		t.Fatalf("readyz on an idle daemon = %d", hr4.StatusCode)
 	}
 }
 
-// TestExpositionLintFullStack registers the whole daemon's metric
-// surface (bus, store via testDaemon's engine, SLO, runtime collector)
-// and asserts every family carries help text.
+// TestExpositionLintFullStack asserts every metric family the whole
+// daemon registers (bus, store, SLO, flight recorder, decision log,
+// runtime collector) carries help text.
 func TestExpositionLintFullStack(t *testing.T) {
-	d, _ := testObservabilityDaemon(t)
-	telemetry.NewRuntimeCollector(d.tel.Registry())
-	srv := httptest.NewServer(d.routes(false))
-	defer srv.Close()
+	d, srv := bootFlaky(t)
 	failFlaky(t, srv) // populate lazily-registered series
-	if missing := d.tel.Registry().LintExposition(); len(missing) != 0 {
+	if missing := d.Gateway().Telemetry().Registry().LintExposition(); len(missing) != 0 {
 		t.Fatalf("metric families without help text: %v", missing)
 	}
 }

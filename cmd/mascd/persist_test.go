@@ -9,54 +9,9 @@ import (
 	"testing"
 	"time"
 
-	"github.com/masc-project/masc/internal/bus"
-	"github.com/masc-project/masc/internal/scm"
-	"github.com/masc-project/masc/internal/store"
-	"github.com/masc-project/masc/internal/telemetry"
-	"github.com/masc-project/masc/internal/transport"
+	"github.com/masc-project/masc/internal/daemon"
 	"github.com/masc-project/masc/internal/workflow"
 )
-
-// persistentDaemon builds a daemon over a durable store in dir, as
-// `mascd -data-dir dir -sync always` would.
-func persistentDaemon(t *testing.T, dir string) *daemon {
-	t.Helper()
-	network := transport.NewNetwork()
-	deployment, err := scm.Deploy(network, nil, scm.DeployConfig{Retailers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tel := telemetry.New(0)
-	repo := testRepository(t, tel, defaultPolicies)
-	d := &daemon{
-		network: network,
-		repo:    repo,
-		tel:     tel,
-		start:   time.Now(),
-	}
-	st, err := store.Open(dir, store.Options{Sync: store.SyncAlways, Metrics: tel.Registry()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.st = st
-	gateway := bus.New(network,
-		bus.WithPolicyRepository(repo),
-		bus.WithTelemetry(tel),
-		bus.WithStore(st))
-	if _, err := gateway.CreateVEP(bus.VEPConfig{
-		Name:     "Retailer",
-		Services: deployment.RetailerAddrs,
-		Contract: scm.RetailerContract(),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	d.gateway = gateway
-	d.engine = workflow.NewEngine(gateway, workflow.WithTelemetry(tel))
-	if err := d.setupWorkflow(); err != nil {
-		t.Fatal(err)
-	}
-	return d
-}
 
 func getInstances(t *testing.T, srv *httptest.Server) []instanceSummary {
 	t.Helper()
@@ -83,10 +38,10 @@ func getInstances(t *testing.T, srv *httptest.Server) []instanceSummary {
 // daemon is rebuilt over the same data dir — appears in
 // /api/v1/instances as recovered, resumes via the API, and completes.
 func TestDaemonCrashRecoveryEndToEnd(t *testing.T) {
-	dir := t.TempDir()
-	d1 := persistentDaemon(t, dir)
+	cfg := daemon.Config{DataDir: t.TempDir(), Sync: "always"}
+	d1, _ := boot(t, cfg)
 
-	inst, err := d1.engine.CreateInstance("OrderingProcess", defaultProcessInputs())
+	inst, err := d1.Engine().CreateInstance("OrderingProcess", orderingInputs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,19 +54,16 @@ func TestDaemonCrashRecoveryEndToEnd(t *testing.T) {
 	if !inst.AwaitState(workflow.StateSuspended, 2*time.Second) {
 		t.Fatalf("instance did not park; state = %s", inst.State())
 	}
-	d1.st.Abandon() // crash: no clean close
+	d1.Store().Abandon() // crash: no clean close
 
-	d2 := persistentDaemon(t, dir)
-	defer d2.st.Close()
-	srv := httptest.NewServer(d2.routes(false))
-	defer srv.Close()
+	d2, srv := boot(t, cfg)
 
 	list := getInstances(t, srv)
 	if len(list) != 1 || list[0].ID != inst.ID() || !list[0].Recovered || list[0].State != "suspended" {
 		t.Fatalf("instances after recovery = %+v", list)
 	}
-	if d2.storeStatus().RecoveredInstances != 1 {
-		t.Fatalf("store status = %+v", d2.storeStatus())
+	if h := getHealth(t, srv); h.Store == nil || h.Store.RecoveredInstances != 1 {
+		t.Fatalf("healthz store section = %+v", h.Store)
 	}
 
 	hr, err := srv.Client().Post(srv.URL+"/api/v1/instances/"+inst.ID()+"/resume",
@@ -124,7 +76,7 @@ func TestDaemonCrashRecoveryEndToEnd(t *testing.T) {
 		t.Fatalf("resume status = %d", hr.StatusCode)
 	}
 
-	rec, err := d2.engine.Instance(inst.ID())
+	rec, err := d2.Engine().Instance(inst.ID())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +88,7 @@ func TestDaemonCrashRecoveryEndToEnd(t *testing.T) {
 		t.Fatal("recovered instance has no confirmation output")
 	}
 	// The completion checkpoint is durable (decode the delta chain).
-	raw, ok := d2.st.Get(workflow.SpaceInstances, inst.ID())
+	raw, ok := d2.Store().Get(workflow.SpaceInstances, inst.ID())
 	if !ok {
 		t.Fatal("terminal checkpoint missing")
 	}
@@ -163,9 +115,7 @@ func TestDaemonCrashRecoveryEndToEnd(t *testing.T) {
 // TestInstancesAPIStartAndList covers POST /api/v1/instances with the
 // default demo inputs and the listing/detail endpoints.
 func TestInstancesAPIStartAndList(t *testing.T) {
-	d := testDaemon(t)
-	srv := httptest.NewServer(d.routes(false))
-	defer srv.Close()
+	d, srv := boot(t, daemon.Config{})
 
 	hr, err := srv.Client().Post(srv.URL+"/api/v1/instances", "application/json",
 		bytes.NewReader(nil))
@@ -182,7 +132,7 @@ func TestInstancesAPIStartAndList(t *testing.T) {
 		t.Fatalf("started = %+v", started)
 	}
 
-	inst, err := d.engine.Instance(started.ID)
+	inst, err := d.Engine().Instance(started.ID)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/masc-project/masc/internal/daemon"
 	"github.com/masc-project/masc/internal/scm"
 	"github.com/masc-project/masc/internal/soap"
 	"github.com/masc-project/masc/internal/transport"
@@ -83,7 +84,7 @@ func putPolicy(t *testing.T, srv *httptest.Server, name, body string) *http.Resp
 }
 
 func TestAPIPoliciesListing(t *testing.T) {
-	_, srv := apiServer(t)
+	_, srv := boot(t, daemon.Config{})
 	page := getPolicies(t, srv)
 	if page.Mode != "compiled" {
 		t.Fatalf("mode = %q", page.Mode)
@@ -101,7 +102,7 @@ func TestAPIPoliciesListing(t *testing.T) {
 }
 
 func TestAPIPolicyGetContentNegotiation(t *testing.T) {
-	_, srv := apiServer(t)
+	_, srv := boot(t, daemon.Config{})
 
 	// Default: JSON metadata.
 	hr, err := srv.Client().Get(srv.URL + "/api/v1/policies/gateway-recovery")
@@ -149,12 +150,13 @@ func TestAPIPolicyGetContentNegotiation(t *testing.T) {
 // compiles replaces the live policy set, and the very next gateway
 // evaluation uses it — no restart.
 func TestAPIPolicyHotReload(t *testing.T) {
-	_, srv := apiServer(t)
+	_, srv := boot(t, daemon.Config{})
 
 	if !tryCatalog(t, srv) {
 		t.Fatal("baseline getCatalog failed under the default policies")
 	}
 	before := getPolicies(t, srv)
+	defaultPolicies := builtinPolicies(t, srv)
 
 	// Swap in the blocking document.
 	hr := putPolicy(t, srv, "gateway-recovery", blockingPolicies)
@@ -193,7 +195,7 @@ func TestAPIPolicyHotReload(t *testing.T) {
 // TestAPIPolicyPutInvalid proves the reject path: 422 with structured
 // diagnostics, and the previously published set keeps serving.
 func TestAPIPolicyPutInvalid(t *testing.T) {
-	_, srv := apiServer(t)
+	_, srv := boot(t, daemon.Config{})
 	before := getPolicies(t, srv)
 
 	hr := putPolicy(t, srv, "gateway-recovery", invalidPolicies)
@@ -217,7 +219,7 @@ func TestAPIPolicyPutInvalid(t *testing.T) {
 
 	// A body whose document name disagrees with the path is a client
 	// error, not a validation failure.
-	hr = putPolicy(t, srv, "some-other-name", defaultPolicies)
+	hr = putPolicy(t, srv, "some-other-name", builtinPolicies(t, srv))
 	decodeJSON(t, hr.Body, &envl)
 	hr.Body.Close()
 	if hr.StatusCode != http.StatusBadRequest || envl.Error.Code != "bad_request" {
@@ -235,7 +237,7 @@ func TestAPIPolicyPutInvalid(t *testing.T) {
 }
 
 func TestAPIPolicyDelete(t *testing.T) {
-	_, srv := apiServer(t)
+	_, srv := boot(t, daemon.Config{})
 
 	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/api/v1/policies/gateway-recovery", nil)
 	hr, err := srv.Client().Do(req)
@@ -263,7 +265,8 @@ func TestAPIPolicyDelete(t *testing.T) {
 }
 
 func TestAPIPolicyReload(t *testing.T) {
-	d, srv := apiServer(t)
+	_, srv := boot(t, daemon.Config{})
+	defaultPolicies := builtinPolicies(t, srv)
 
 	// Without -policy-dir there is nothing to reload.
 	hr, err := srv.Client().Post(srv.URL+"/api/v1/policies/reload", "", nil)
@@ -277,16 +280,20 @@ func TestAPIPolicyReload(t *testing.T) {
 		t.Fatalf("status = %d envelope = %+v", hr.StatusCode, envl)
 	}
 
-	// Point the daemon at a two-document bundle directory.
+	// A daemon booted on a bundle directory picks up a second document
+	// dropped there afterwards.
 	dir := t.TempDir()
 	second := strings.Replace(blockingPolicies, `name="gateway-recovery"`, `name="extra-guards"`, 1)
 	if err := os.WriteFile(filepath.Join(dir, "a-recovery.xml"), []byte(defaultPolicies), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	_, srv = boot(t, daemon.Config{PolicyDir: dir})
+	if page := getPolicies(t, srv); len(page.Documents) != 1 {
+		t.Fatalf("documents at boot = %+v", page.Documents)
+	}
 	if err := os.WriteFile(filepath.Join(dir, "b-guards.xml"), []byte(second), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	d.policyDir = dir
 
 	hr, err = srv.Client().Post(srv.URL+"/api/v1/policies/reload", "", nil)
 	if err != nil {

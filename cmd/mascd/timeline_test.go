@@ -2,66 +2,28 @@ package main
 
 import (
 	"encoding/json"
-	"net/http/httptest"
 	"testing"
 	"time"
 
-	"github.com/masc-project/masc/internal/bus"
-	"github.com/masc-project/masc/internal/policy"
-	"github.com/masc-project/masc/internal/scm"
-	"github.com/masc-project/masc/internal/store"
+	"github.com/masc-project/masc/internal/daemon"
 	"github.com/masc-project/masc/internal/telemetry"
 	"github.com/masc-project/masc/internal/telemetry/decision"
-	"github.com/masc-project/masc/internal/transport"
 	"github.com/masc-project/masc/internal/workflow"
 )
 
-// timelineDaemon is the acceptance fixture for the timeline endpoint:
-// a persistent daemon whose Retailer VEP lists a dead backend first,
-// so every process invoke exercises retry + failover — an adapted
-// instance with decisions, journal entries, trace spans, and
-// checkpoints to merge.
-func timelineDaemon(t *testing.T, dir string) *daemon {
-	t.Helper()
-	network := transport.NewNetwork()
-	deployment, err := scm.Deploy(network, nil, scm.DeployConfig{Retailers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tel := telemetry.New(0)
-	repo := testRepository(t, tel, e2ePolicies)
-	dec := decision.NewRecorder(0, tel.Registry())
-	d := &daemon{
-		network:   network,
-		repo:      repo,
-		tel:       tel,
-		start:     time.Now(),
-		decisions: dec,
-	}
-	st, err := store.Open(dir, store.Options{Sync: store.SyncAlways, Metrics: tel.Registry()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.st = st
-	gateway := bus.New(network,
-		bus.WithPolicyRepository(repo),
-		bus.WithTelemetry(tel),
-		bus.WithStore(st),
-		bus.WithDecisions(dec))
-	if _, err := gateway.CreateVEP(bus.VEPConfig{
-		Name:      "Retailer",
-		Services:  append([]string{"inproc://scm/dead"}, deployment.RetailerAddrs...),
-		Contract:  scm.RetailerContract(),
-		Selection: policy.SelectFirst,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	d.gateway = gateway
-	d.engine = workflow.NewEngine(gateway, workflow.WithTelemetry(tel))
-	if err := d.setupWorkflow(); err != nil {
-		t.Fatal(err)
-	}
-	return d
+// timelineReport is /api/v1/instances/{id}/timeline as the tests read
+// it.
+type timelineReport struct {
+	Instance string   `json:"instance"`
+	Sources  []string `json:"sources"`
+	Count    int      `json:"count"`
+	Events   []struct {
+		Time       time.Time                 `json:"time"`
+		Source     string                    `json:"source"`
+		Decision   *decision.Record          `json:"decision"`
+		Journal    *telemetry.Entry          `json:"journal"`
+		Checkpoint *workflow.CheckpointEvent `json:"checkpoint"`
+	} `json:"events"`
 }
 
 // TestInstanceTimelineMergesSources is the PR's acceptance scenario:
@@ -70,12 +32,13 @@ func timelineDaemon(t *testing.T, dir string) *daemon {
 // three source kinds in time order, with the adaptation decision and
 // its checkpoints visible in one view.
 func TestInstanceTimelineMergesSources(t *testing.T) {
-	d := timelineDaemon(t, t.TempDir())
-	defer d.st.Close()
-	srv := httptest.NewServer(d.routes(false))
-	defer srv.Close()
+	// A persistent daemon whose Retailer VEP lists a dead backend first:
+	// every process invoke exercises retry + failover — an adapted
+	// instance with decisions, journal entries, trace spans, and
+	// checkpoints to merge.
+	d, srv := bootDeadFirst(t, daemon.Config{DataDir: t.TempDir(), Sync: "always"})
 
-	inst, err := d.engine.Start("OrderingProcess", defaultProcessInputs())
+	inst, err := d.Engine().Start("OrderingProcess", orderingInputs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +80,7 @@ func TestInstanceTimelineMergesSources(t *testing.T) {
 	var sawAdapt, sawJournal, sawCheckpoint, sawFullAnchor bool
 	for _, ev := range rep.Events {
 		switch ev.Source {
-		case sourceDecision:
+		case "decision":
 			if ev.Decision == nil {
 				t.Fatalf("decision event without detail: %+v", ev)
 			}
@@ -129,12 +92,12 @@ func TestInstanceTimelineMergesSources(t *testing.T) {
 				}
 				sawAdapt = true
 			}
-		case sourceJournal:
+		case "journal":
 			if ev.Journal == nil || ev.Journal.Conversation != inst.ID() {
 				t.Fatalf("journal event = %+v", ev)
 			}
 			sawJournal = true
-		case sourceCheckpoint:
+		case "checkpoint":
 			if ev.Checkpoint == nil || ev.Checkpoint.Instance != inst.ID() {
 				t.Fatalf("checkpoint event = %+v", ev)
 			}
@@ -155,9 +118,7 @@ func TestInstanceTimelineMergesSources(t *testing.T) {
 // TestInstanceTimelineUnknownInstance asserts the timeline verb 404s
 // for unknown IDs like the other instance resources.
 func TestInstanceTimelineUnknownInstance(t *testing.T) {
-	d := e2eDaemon(t)
-	srv := httptest.NewServer(d.routes(false))
-	defer srv.Close()
+	_, srv := bootDeadFirst(t, daemon.Config{})
 
 	hr, err := srv.Client().Get(srv.URL + "/api/v1/instances/nope/timeline")
 	if err != nil {

@@ -314,6 +314,43 @@ func TestSkipPolicy(t *testing.T) {
 	}
 }
 
+// TestProcessOnlyPolicyNeedsAdapter: on a bus with no ProcessAdapter a
+// policy made only of process-layer actions executes nothing, so it
+// has not handled the fault — the original failure (or the next
+// policy) must answer, never a nil response with a nil error.
+func TestProcessOnlyPolicyNeedsAdapter(t *testing.T) {
+	const suspendOnly = `
+<PolicyDocument xmlns="urn:masc:ws-policy4masc" name="p">
+  <AdaptationPolicy name="suspend" subject="vep:Retailer" priority="9">
+    <OnEvent type="fault.detected"/>
+    <Actions><SuspendProcess/></Actions>
+  </AdaptationPolicy>%s
+</PolicyDocument>`
+	svc := &scriptedService{failFor: 1000}
+	_, v, rec := testBus(t, fmt.Sprintf(suspendOnly, ""), map[string]*scriptedService{"inproc://a": svc}, VEPConfig{})
+	resp, err := v.Invoke(context.Background(), "", catalogReq(t))
+	if !errors.Is(err, transport.ErrUnavailable) {
+		t.Fatalf("resp = %v err = %v, want the backend's outage", resp, err)
+	}
+	if adapts := rec.OfType(event.TypeAdaptationCompleted); len(adapts) != 0 {
+		t.Fatalf("adaptations = %+v, want none", adapts)
+	}
+
+	// With a lower-priority messaging policy behind it, that one answers.
+	_, v, rec = testBus(t, fmt.Sprintf(suspendOnly, `
+  <AdaptationPolicy name="skip" subject="vep:Retailer" priority="1">
+    <OnEvent type="fault.detected"/>
+    <Actions><Skip/></Actions>
+  </AdaptationPolicy>`), map[string]*scriptedService{"inproc://a": svc}, VEPConfig{})
+	resp, err = v.Invoke(context.Background(), "", catalogReq(t))
+	if err != nil || resp.Payload.AttrValue("", "skipped") != "true" {
+		t.Fatalf("resp = %v err = %v, want the skip policy's response", resp, err)
+	}
+	if adapts := rec.OfType(event.TypeAdaptationCompleted); len(adapts) != 1 || adapts[0].PolicyName != "skip" {
+		t.Fatalf("adaptations = %+v", adapts)
+	}
+}
+
 func TestPolicyPriorityOrder(t *testing.T) {
 	svc := &scriptedService{failFor: 1000}
 	// High-priority skip should win over low-priority retry.

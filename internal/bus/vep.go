@@ -723,8 +723,9 @@ func (v *VEP) executePolicy(ctx context.Context, pol *policy.AdaptationPolicy,
 		}
 	}
 	// A policy consisting solely of process-layer actions succeeds once
-	// they have all executed.
-	return resp, target, recovered || (processOnly && len(pol.Actions) > 0)
+	// they have all executed — which takes a process adapter: without
+	// one they were skipped above, and a skipped action handled nothing.
+	return resp, target, recovered || (processOnly && len(pol.Actions) > 0 && v.bus.procAdapter != nil)
 }
 
 func (v *VEP) doRetry(ctx context.Context, a policy.RetryAction, req *soap.Envelope, op, target string) (*soap.Envelope, string, bool) {

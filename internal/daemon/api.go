@@ -1,4 +1,4 @@
-package main
+package daemon
 
 import (
 	"encoding/json"
@@ -22,7 +22,7 @@ const apiPrefix = "/api/v1"
 // errors as the envelope {"error": {"code": ..., "message": ...}}
 // (telemetry.WriteError); readyz's 503 is not an error but a
 // structured readiness report ({status, reasons, veps}) probes parse.
-func (d *daemon) apiRoutes(mux *http.ServeMux) {
+func (d *Daemon) apiRoutes(mux *http.ServeMux) {
 	handle := func(path string, h http.Handler) {
 		mux.Handle(apiPrefix+path, h)
 	}
@@ -48,7 +48,7 @@ func (d *daemon) apiRoutes(mux *http.ServeMux) {
 
 // sloReport serves GET /api/v1/slo: derived objectives, per-window
 // burn rates, and remaining error budget for every tracked VEP.
-func (d *daemon) sloReport(w http.ResponseWriter, r *http.Request) {
+func (d *Daemon) sloReport(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeAPIError(w, http.StatusMethodNotAllowed, "use GET")
 		return
@@ -59,7 +59,7 @@ func (d *daemon) sloReport(w http.ResponseWriter, r *http.Request) {
 // flightrecIndex serves GET /api/v1/flightrec: stored fault bundles,
 // newest first (empty when no flight recorder is attached, i.e. the
 // daemon runs without -data-dir).
-func (d *daemon) flightrecIndex(w http.ResponseWriter, r *http.Request) {
+func (d *Daemon) flightrecIndex(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeAPIError(w, http.StatusMethodNotAllowed, "use GET")
 		return
@@ -74,7 +74,7 @@ func (d *daemon) flightrecIndex(w http.ResponseWriter, r *http.Request) {
 }
 
 // flightrecGet serves GET /api/v1/flightrec/{id}: one full bundle.
-func (d *daemon) flightrecGet(w http.ResponseWriter, r *http.Request) {
+func (d *Daemon) flightrecGet(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeAPIError(w, http.StatusMethodNotAllowed, "use GET")
 		return
@@ -153,7 +153,7 @@ func summarizeVEP(v *bus.VEP) vepSummary {
 
 // vepsIndex serves GET /api/v1/veps: every VEP with its registered
 // services, protection status, and per-backend breaker states.
-func (d *daemon) vepsIndex(w http.ResponseWriter, r *http.Request) {
+func (d *Daemon) vepsIndex(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeAPIError(w, http.StatusMethodNotAllowed, "use GET")
 		return
@@ -173,7 +173,7 @@ func (d *daemon) vepsIndex(w http.ResponseWriter, r *http.Request) {
 
 // vepManage routes /api/v1/veps/{name} and
 // /api/v1/veps/{name}/services.
-func (d *daemon) vepManage(w http.ResponseWriter, r *http.Request) {
+func (d *Daemon) vepManage(w http.ResponseWriter, r *http.Request) {
 	rest := strings.TrimPrefix(r.URL.Path, apiPrefix+"/veps/")
 	name, sub, _ := strings.Cut(rest, "/")
 	v, err := d.gateway.VEP(name)
@@ -205,7 +205,7 @@ func (d *daemon) vepManage(w http.ResponseWriter, r *http.Request) {
 //
 // Addresses travel in a JSON body (POST) or query parameter (DELETE)
 // because they contain slashes.
-func (d *daemon) manageServices(w http.ResponseWriter, r *http.Request, v *bus.VEP) {
+func (d *Daemon) manageServices(w http.ResponseWriter, r *http.Request, v *bus.VEP) {
 	respond := func() {
 		writeJSON(w, http.StatusOK, struct {
 			VEP      string   `json:"vep"`

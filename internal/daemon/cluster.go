@@ -1,4 +1,4 @@
-package main
+package daemon
 
 import (
 	"context"
@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -17,42 +16,14 @@ import (
 	"github.com/masc-project/masc/internal/workflow"
 )
 
-// clusterSettings are the parsed -node-id / -advertise /
-// -cluster-seed / -replication-level / -cluster-secret flags.
-type clusterSettings struct {
-	nodeID           string
-	advertise        string
-	seeds            []cluster.NodeInfo
-	replicationLevel int
-	// secret, when non-empty, is the shared token every intra-cluster
-	// request (heartbeats, WAL fetches) must carry; without it the
-	// cluster endpoints trust the network (docs/cluster.md, "Trust
-	// model").
-	secret string
-	// heartbeat overrides the failure-detector interval (tests use
-	// aggressive values; zero keeps the 1s default).
-	heartbeat time.Duration
-}
-
-func (c *clusterSettings) enabled() bool { return c.nodeID != "" }
-
-// parseSeed parses one -cluster-seed value, "id=http://host:port".
-func parseSeed(s string) (cluster.NodeInfo, error) {
-	id, addr, ok := strings.Cut(s, "=")
-	if !ok || id == "" || addr == "" {
-		return cluster.NodeInfo{}, fmt.Errorf("-cluster-seed: want id=http://host:port, got %q", s)
-	}
-	return cluster.NodeInfo{ID: id, Addr: strings.TrimRight(addr, "/")}, nil
-}
-
 // clusterRuntime is the daemon's multi-node state: the cluster node
 // (membership + ring + forwarding), the WAL replication feed (leader
 // side), and the replica manager following the takeover predecessor.
 type clusterRuntime struct {
-	d        *daemon
+	d        *Daemon
 	node     *cluster.Node
 	feed     *store.Feed
-	settings clusterSettings
+	settings ClusterConfig
 	dataDir  string
 
 	mu       sync.Mutex
@@ -61,28 +32,27 @@ type clusterRuntime struct {
 
 	stopOnce sync.Once
 	stop     chan struct{}
-	done     chan struct{}
+	loop     sync.WaitGroup // the replica loop, once start launched it
 }
 
 // setupCluster wires the cluster runtime into the daemon. Requires the
 // store and policy repository to be open already.
-func setupCluster(d *daemon, settings clusterSettings, dataDir string) (*clusterRuntime, error) {
+func setupCluster(d *Daemon, settings ClusterConfig, dataDir string) (*clusterRuntime, error) {
 	cr := &clusterRuntime{
 		d:        d,
 		settings: settings,
 		dataDir:  dataDir,
 		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
 	}
 	if d.st != nil {
 		cr.feed = store.NewFeed(d.st, d.tel.Registry())
 	}
 	node, err := cluster.NewNode(cluster.Config{
-		NodeID:            settings.nodeID,
-		Advertise:         settings.advertise,
-		Seeds:             settings.seeds,
-		HeartbeatInterval: settings.heartbeat,
-		Secret:            settings.secret,
+		NodeID:            settings.NodeID,
+		Advertise:         settings.Advertise,
+		Seeds:             settings.Seeds,
+		HeartbeatInterval: settings.Heartbeat,
+		Secret:            settings.Secret,
 		Self:              cr.selfInfo,
 		Telemetry:         d.tel,
 		OnPromote:         cr.promote,
@@ -95,14 +65,14 @@ func setupCluster(d *daemon, settings clusterSettings, dataDir string) (*cluster
 
 	// Stamp provenance: journal entries, decision records, and flight
 	// recorder bundles carry the node that produced them.
-	d.tel.Logs().SetNode(settings.nodeID)
-	d.decisions.SetNode(settings.nodeID)
+	d.tel.Logs().SetNode(settings.NodeID)
+	d.decisions.SetNode(settings.NodeID)
 
 	// -replication-level N: instance completion waits until the
 	// terminal checkpoint is acknowledged by N followers (bounded, so a
 	// follower outage degrades to a logged warning, not a hang).
-	if d.persist != nil && cr.feed != nil && settings.replicationLevel > 0 {
-		level := settings.replicationLevel
+	if d.persist != nil && cr.feed != nil && settings.ReplicationLevel > 0 {
+		level := settings.ReplicationLevel
 		feed := cr.feed
 		d.persist.SetReplicationBarrier(func() error {
 			ctx, cancel := context.WithTimeout(context.Background(), replicationBarrierTimeout)
@@ -121,15 +91,14 @@ const replicationBarrierTimeout = 10 * time.Second
 func (cr *clusterRuntime) start() {
 	cr.node.Start()
 	if cr.d.st != nil && cr.dataDir != "" {
+		cr.loop.Add(1)
 		go cr.replicaLoop()
-	} else {
-		close(cr.done)
 	}
 }
 
 func (cr *clusterRuntime) Stop() {
 	cr.stopOnce.Do(func() { close(cr.stop) })
-	<-cr.done
+	cr.loop.Wait()
 	cr.node.Stop()
 	cr.mu.Lock()
 	if cr.follower != nil {
@@ -184,7 +153,7 @@ func (cr *clusterRuntime) predecessor() (cluster.Member, bool) {
 // replicaLoop keeps a follower attached to the current takeover
 // predecessor, switching targets as membership changes.
 func (cr *clusterRuntime) replicaLoop() {
-	defer close(cr.done)
+	defer cr.loop.Done()
 	log := cr.d.tel.Logger("cluster")
 	t := time.NewTicker(500 * time.Millisecond)
 	defer t.Stop()
@@ -201,8 +170,8 @@ func (cr *clusterRuntime) replicaLoop() {
 				cr.follower = nil
 			}
 			var hdrs map[string]string
-			if cr.settings.secret != "" {
-				hdrs = map[string]string{cluster.SecretHeader: cr.settings.secret}
+			if cr.settings.Secret != "" {
+				hdrs = map[string]string{cluster.SecretHeader: cr.settings.Secret}
 			}
 			fol, err := store.StartFollower(cr.replicaDir(pred.ID),
 				pred.Addr+apiPrefix+"/cluster/wal", store.FollowerOptions{
@@ -276,7 +245,7 @@ func (cr *clusterRuntime) replicationStatus() interface{} {
 		Feed     *store.FeedStatus     `json:"feed,omitempty"`
 		Follower *store.FollowerStatus `json:"follower,omitempty"`
 		Peer     string                `json:"peer,omitempty"`
-	}{Level: cr.settings.replicationLevel}
+	}{Level: cr.settings.ReplicationLevel}
 	if cr.feed != nil {
 		fs := cr.feed.Status()
 		out.Feed = &fs
@@ -335,7 +304,7 @@ func (cr *clusterRuntime) mount(mux *http.ServeMux) {
 // heartbeats (no-op when no -cluster-secret is configured).
 func (cr *clusterRuntime) requireClusterSecret(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !cluster.CheckSecret(cr.settings.secret, r) {
+		if !cluster.CheckSecret(cr.settings.Secret, r) {
 			http.Error(w, "cluster secret missing or wrong", http.StatusForbidden)
 			return
 		}
@@ -353,7 +322,7 @@ type clusterHealth struct {
 	Takeovers          int    `json:"takeovers"`
 }
 
-func (d *daemon) clusterHealth() *clusterHealth {
+func (d *Daemon) clusterHealth() *clusterHealth {
 	if d.cluster == nil {
 		return nil
 	}
@@ -379,7 +348,7 @@ func (d *daemon) clusterHealth() *clusterHealth {
 
 // mergeRecovery folds a promotion-time recovery report into the
 // daemon's (healthz and instance listings read it concurrently).
-func (d *daemon) mergeRecovery(rep workflow.RecoveryReport) {
+func (d *Daemon) mergeRecovery(rep workflow.RecoveryReport) {
 	d.recMu.Lock()
 	d.recovery.Recovered = append(d.recovery.Recovered, rep.Recovered...)
 	sort.Strings(d.recovery.Recovered)
@@ -389,13 +358,13 @@ func (d *daemon) mergeRecovery(rep workflow.RecoveryReport) {
 }
 
 // recoveredCount and isRecovered are the lock-guarded readers.
-func (d *daemon) recoveredCount() int {
+func (d *Daemon) recoveredCount() int {
 	d.recMu.Lock()
 	defer d.recMu.Unlock()
 	return len(d.recovery.Recovered)
 }
 
-func (d *daemon) isRecovered(id string) bool {
+func (d *Daemon) isRecovered(id string) bool {
 	d.recMu.Lock()
 	defer d.recMu.Unlock()
 	for _, r := range d.recovery.Recovered {

@@ -1,4 +1,4 @@
-package main
+package daemon
 
 import (
 	"fmt"
@@ -62,7 +62,7 @@ func docInfoFromDocument(doc *policy.Document) policyDocInfo {
 }
 
 // policiesStatus builds the current listing from the live compiled set.
-func (d *daemon) policiesStatus() policiesPage {
+func (d *Daemon) policiesStatus() policiesPage {
 	cs := compile.Lookup(d.repo)
 	page := policiesPage{
 		Mode:       "compiled",
@@ -79,7 +79,7 @@ func (d *daemon) policiesStatus() policiesPage {
 // auditPolicyChange leaves one audit-journal entry per management-API
 // policy mutation: who (remote address), what (action and document),
 // when (the entry's timestamp).
-func (d *daemon) auditPolicyChange(r *http.Request, action, document, outcome string) {
+func (d *Daemon) auditPolicyChange(r *http.Request, action, document, outcome string) {
 	d.tel.Logs().Record(telemetry.Entry{
 		Level:     telemetry.LevelInfo,
 		Kind:      telemetry.KindAudit,
@@ -97,7 +97,7 @@ func (d *daemon) auditPolicyChange(r *http.Request, action, document, outcome st
 
 // policiesIndex serves GET /api/v1/policies: the published bundle
 // revision and every document's hash, counts, and diagnostics.
-func (d *daemon) policiesIndex(w http.ResponseWriter, r *http.Request) {
+func (d *Daemon) policiesIndex(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeAPIError(w, http.StatusMethodNotAllowed, "use GET")
 		return
@@ -107,7 +107,7 @@ func (d *daemon) policiesIndex(w http.ResponseWriter, r *http.Request) {
 
 // policyManage routes /api/v1/policies/{name} (GET, PUT, DELETE) and
 // POST /api/v1/policies/reload.
-func (d *daemon) policyManage(w http.ResponseWriter, r *http.Request) {
+func (d *Daemon) policyManage(w http.ResponseWriter, r *http.Request) {
 	name := strings.TrimPrefix(r.URL.Path, apiPrefix+"/policies/")
 	if name == "" {
 		d.policiesIndex(w, r)
@@ -136,7 +136,7 @@ func (d *daemon) policyManage(w http.ResponseWriter, r *http.Request) {
 // policyGet serves one document: the raw WS-Policy4MASC XML when the
 // client asks for XML (Accept: */xml or ?format=xml), JSON metadata
 // otherwise.
-func (d *daemon) policyGet(w http.ResponseWriter, r *http.Request, name string) {
+func (d *Daemon) policyGet(w http.ResponseWriter, r *http.Request, name string) {
 	doc := d.repo.Document(name)
 	if doc == nil {
 		writeAPIError(w, http.StatusNotFound, "no such policy document: "+name)
@@ -164,7 +164,7 @@ func (d *daemon) policyGet(w http.ResponseWriter, r *http.Request, name string) 
 // must declare. A document that fails validation or compilation is
 // rejected with 422 and the compiler's structured diagnostics — the
 // previously published set keeps serving, untouched.
-func (d *daemon) policyPut(w http.ResponseWriter, r *http.Request, name string) {
+func (d *Daemon) policyPut(w http.ResponseWriter, r *http.Request, name string) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, 4<<20))
 	if err != nil {
 		writeAPIError(w, http.StatusBadRequest, "read body: "+err.Error())
@@ -214,7 +214,7 @@ func (d *daemon) policyPut(w http.ResponseWriter, r *http.Request, name string) 
 
 // policyDelete unloads one document; the remaining set is recompiled
 // and swapped atomically.
-func (d *daemon) policyDelete(w http.ResponseWriter, r *http.Request, name string) {
+func (d *Daemon) policyDelete(w http.ResponseWriter, r *http.Request, name string) {
 	if d.repo.Document(name) == nil {
 		writeAPIError(w, http.StatusNotFound, "no such policy document: "+name)
 		return
@@ -231,7 +231,7 @@ func (d *daemon) policyDelete(w http.ResponseWriter, r *http.Request, name strin
 // policyReload serves POST /api/v1/policies/reload: re-read the boot
 // -policy-dir as one transaction and replace the whole document set —
 // all of the bundle loads, or none of it does.
-func (d *daemon) policyReload(w http.ResponseWriter, r *http.Request) {
+func (d *Daemon) policyReload(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeAPIError(w, http.StatusMethodNotAllowed, "use POST")
 		return

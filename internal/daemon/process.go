@@ -1,4 +1,4 @@
-package main
+package daemon
 
 import (
 	"encoding/json"
@@ -11,6 +11,7 @@ import (
 
 	"github.com/masc-project/masc/internal/scm"
 	"github.com/masc-project/masc/internal/store"
+	"github.com/masc-project/masc/internal/telemetry"
 	"github.com/masc-project/masc/internal/transport"
 	"github.com/masc-project/masc/internal/workflow"
 	"github.com/masc-project/masc/internal/xmltree"
@@ -61,7 +62,7 @@ func defaultProcessInputs() map[string]*xmltree.Element {
 // setupWorkflow builds the process layer: an engine invoking through
 // the gateway, the OrderingProcess deployment, and — when a store is
 // open — the durable persistence service plus boot-time recovery.
-func (d *daemon) setupWorkflow() error {
+func (d *Daemon) setupWorkflow() error {
 	def, err := workflow.ParseDefinitionString(orderingProcessXML)
 	if err != nil {
 		return err
@@ -113,7 +114,7 @@ type instanceSummary struct {
 	Error           string `json:"error,omitempty"`
 }
 
-func (d *daemon) summarizeInstance(inst *workflow.Instance) instanceSummary {
+func (d *Daemon) summarizeInstance(inst *workflow.Instance) instanceSummary {
 	s := instanceSummary{
 		ID:              inst.ID(),
 		Definition:      inst.Definition(),
@@ -133,7 +134,7 @@ func (d *daemon) summarizeInstance(inst *workflow.Instance) instanceSummary {
 //	POST  {"definition": "...", "inputs": {"var": "<xml/>"}} starts one
 //	      (definition defaults to OrderingProcess, inputs to a demo
 //	      order)
-func (d *daemon) instancesIndex(w http.ResponseWriter, r *http.Request) {
+func (d *Daemon) instancesIndex(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
 		out := []instanceSummary{}
@@ -189,7 +190,7 @@ func (d *daemon) instancesIndex(w http.ResponseWriter, r *http.Request) {
 // and /api/v1/instances/{id}/timeline, the merged adaptation timeline.
 // Resume releases a suspended instance — including one rebuilt from
 // the store at boot, which continues from its last durable checkpoint.
-func (d *daemon) instanceManage(w http.ResponseWriter, r *http.Request) {
+func (d *Daemon) instanceManage(w http.ResponseWriter, r *http.Request) {
 	rest := strings.TrimPrefix(r.URL.Path, apiPrefix+"/instances/")
 	id, verb, _ := strings.Cut(rest, "/")
 	inst, err := d.engine.Instance(id)
@@ -275,7 +276,7 @@ type storeStatus struct {
 	RecoveredInstances int     `json:"recovered_instances"`
 }
 
-func (d *daemon) storeStatus() *storeStatus {
+func (d *Daemon) storeStatus() *storeStatus {
 	if d.st == nil {
 		return nil
 	}
@@ -296,17 +297,17 @@ func (d *daemon) storeStatus() *storeStatus {
 	}
 }
 
-// openDataDir opens the durable store for -data-dir with the parsed
-// -sync mode. Cluster mode disables snapshot compaction so followers
+// openDataDir opens the durable store for Config.DataDir with the
+// Config.Sync mode. Cluster mode disables snapshot compaction so followers
 // can replicate the raw WAL segments.
-func openDataDir(dir, syncMode string, d *daemon, clustered bool) (*store.Store, error) {
+func openDataDir(dir, syncMode string, tel *telemetry.Telemetry, clustered bool) (*store.Store, error) {
 	mode, err := store.ParseSyncMode(syncMode)
 	if err != nil {
 		return nil, err
 	}
 	opts := store.Options{
 		Sync:    mode,
-		Metrics: d.tel.Registry(),
+		Metrics: tel.Registry(),
 	}
 	if clustered {
 		opts.SnapshotEvery = -1

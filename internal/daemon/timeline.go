@@ -1,4 +1,4 @@
-package main
+package daemon
 
 import (
 	"sort"
@@ -64,7 +64,7 @@ type timelineReport struct {
 // instance ID itself (decisions, checkpoints), the conversation ID
 // (journal — the engine falls back to the instance ID there), and the
 // trace IDs recovered from both.
-func (d *daemon) instanceTimeline(id string) timelineReport {
+func (d *Daemon) instanceTimeline(id string) timelineReport {
 	var events []timelineEvent
 	traceIDs := map[string]bool{}
 

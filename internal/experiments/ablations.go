@@ -23,8 +23,6 @@ type RetrySweepPoint struct {
 	Failover        bool
 	FailuresPer1000 float64
 	MeanRTT         time.Duration
-	// Adaptation holds the recovery counters the run actually spent.
-	Adaptation AdaptationSnapshot
 }
 
 // RunRetrySweep sweeps the Retry action's MaxAttempts (0..4) against
@@ -77,7 +75,6 @@ func RunRetrySweep(cfg Table1Config) ([]RetrySweepPoint, error) {
 				Failover:        failover,
 				FailuresPer1000: s.FailuresPer1000,
 				MeanRTT:         s.Mean,
-				Adaptation:      snapshotAdaptation(tel),
 			})
 		}
 	}
@@ -90,8 +87,6 @@ type SelectionPoint struct {
 	Strategy        string
 	FailuresPer1000 float64
 	MeanRTT         time.Duration
-	// Adaptation holds the recovery counters the strategy spent.
-	Adaptation AdaptationSnapshot
 }
 
 // RunSelectionComparison compares recovery strategies: plain
@@ -142,7 +137,6 @@ func RunSelectionComparison(cfg Table1Config) ([]SelectionPoint, error) {
 			Strategy:        st.name,
 			FailuresPer1000: s.FailuresPer1000,
 			MeanRTT:         s.Mean,
-			Adaptation:      snapshotAdaptation(tel),
 		})
 	}
 	return points, nil

@@ -82,9 +82,6 @@ type Table1Row struct {
 	// MeanRTT is the mean successful latency (not in the paper's
 	// table; reported for context).
 	MeanRTT time.Duration
-	// Adaptation holds the middleware's recovery counters; only the
-	// wsBus configuration has them (direct calls bypass the bus).
-	Adaptation *AdaptationSnapshot `json:"Adaptation,omitempty"`
 }
 
 // table1Policies is the §3.2 recovery configuration: "retry the
@@ -193,7 +190,6 @@ func RunTable1(cfg Table1Config) ([]Table1Row, error) {
 	}
 	summary := loadgen.Run(context.Background(), lg, catalogOp(b, "vep:Retailer"))
 	_, _, avail := loadgen.Availability(summary.Outcomes)
-	snap := snapshotAdaptation(tel)
 	rows = append(rows, Table1Row{
 		Configuration:   fmt.Sprintf("wsBus: all %d Retailer services exposed as 1 VEP", len(cfg.OutageFractions)),
 		Requests:        summary.Requests,
@@ -201,7 +197,6 @@ func RunTable1(cfg Table1Config) ([]Table1Row, error) {
 		FailuresPer1000: summary.FailuresPer1000,
 		Availability:    avail,
 		MeanRTT:         summary.Mean,
-		Adaptation:      &snap,
 	})
 	return rows, nil
 }
@@ -209,7 +204,7 @@ func RunTable1(cfg Table1Config) ([]Table1Row, error) {
 // mediatedBus builds the client-side wsBus over a deployment, with the
 // Table 1 recovery policies and a Retailer VEP grouping every
 // deployed retailer (plus the skip-guarded Logging VEP). A non-nil
-// tel wires recovery counters in for the run's AdaptationSnapshot.
+// tel instruments the bus the way mascd deploys it.
 func mediatedBus(d *scm.Deployment, seed int64, tel *telemetry.Telemetry) (*bus.Bus, error) {
 	repo := policy.NewRepository()
 	if _, err := repo.LoadXML(table1Policies); err != nil {

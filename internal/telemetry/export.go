@@ -1,13 +1,8 @@
 package telemetry
 
 import (
-	"bytes"
-	"encoding/json"
-	"net/http"
 	"sort"
 	"strings"
-	"sync"
-	"time"
 )
 
 // SampleBucket is one cumulative histogram bucket in a snapshot.
@@ -27,8 +22,8 @@ type Sample struct {
 }
 
 // FamilySnapshot is one metric family rendered as JSON — the
-// machine-readable sibling of the Prometheus text exposition, used by
-// the push exporter so aggregators need no text-format parser.
+// machine-readable sibling of the Prometheus text exposition, which
+// the store, the SLO engine and tests read metrics through.
 type FamilySnapshot struct {
 	Name    string   `json:"name"`
 	Kind    string   `json:"kind"`
@@ -105,126 +100,4 @@ func (f *family) snapshot() FamilySnapshot {
 		fs.Samples = append(fs.Samples, sample)
 	}
 	return fs
-}
-
-// ExportPayload is one pushed observation line: everything a central
-// aggregator needs to track a node without scraping it.
-type ExportPayload struct {
-	Time    time.Time        `json:"time"`
-	Node    string           `json:"node"`
-	Version string           `json:"version"`
-	Metrics []FamilySnapshot `json:"metrics"`
-	// Extra carries deployment-specific sections (e.g. the SLO report)
-	// keyed by name.
-	Extra map[string]interface{} `json:"extra,omitempty"`
-}
-
-// ExporterOptions configures a push Exporter.
-type ExporterOptions struct {
-	// URL receives one JSON line per interval via HTTP POST
-	// (Content-Type application/x-ndjson).
-	URL string
-	// Interval between pushes (default 15s).
-	Interval time.Duration
-	// Node identifies this process in the payload (e.g. hostname:port).
-	Node string
-	// Version stamps the payload with the build version.
-	Version string
-	// Extra, when set, is invoked per push and its result embedded
-	// under payload.Extra.
-	Extra func() map[string]interface{}
-	// Logger records push failures (optional).
-	Logger *Logger
-	// Client overrides the HTTP client (default: 10s timeout).
-	Client *http.Client
-}
-
-// Exporter periodically ships a metrics/SLO snapshot to a collector
-// URL as JSON lines — the dependency-free push path for multi-node
-// deployments where a central aggregator cannot scrape every node.
-// Push outcomes are themselves counted (masc_export_pushes_total).
-type Exporter struct {
-	reg    *Registry
-	opts   ExporterOptions
-	pushes *CounterVec
-
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
-}
-
-// NewExporter builds an exporter over the registry. Call Start to
-// begin pushing.
-func NewExporter(reg *Registry, opts ExporterOptions) *Exporter {
-	if opts.Interval <= 0 {
-		opts.Interval = 15 * time.Second
-	}
-	if opts.Client == nil {
-		opts.Client = &http.Client{Timeout: 10 * time.Second}
-	}
-	return &Exporter{
-		reg:  reg,
-		opts: opts,
-		pushes: reg.Counter("masc_export_pushes_total",
-			"Metrics snapshot pushes to the -export-url collector by outcome (ok, error).", "outcome"),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
-}
-
-// Start launches the push loop in its own goroutine.
-func (e *Exporter) Start() {
-	go func() {
-		defer close(e.done)
-		t := time.NewTicker(e.opts.Interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-e.stop:
-				return
-			case <-t.C:
-				e.Push()
-			}
-		}
-	}()
-}
-
-// Stop terminates the push loop and waits for it to exit.
-func (e *Exporter) Stop() {
-	e.stopOnce.Do(func() { close(e.stop) })
-	<-e.done
-}
-
-// Push ships one snapshot line immediately. It is also called by the
-// periodic loop.
-func (e *Exporter) Push() error {
-	payload := ExportPayload{
-		Time:    time.Now(),
-		Node:    e.opts.Node,
-		Version: e.opts.Version,
-		Metrics: e.reg.Snapshot(),
-	}
-	if e.opts.Extra != nil {
-		payload.Extra = e.opts.Extra()
-	}
-	line, err := json.Marshal(payload)
-	if err != nil {
-		e.pushes.With("error").Inc()
-		return err
-	}
-	line = append(line, '\n')
-	resp, err := e.opts.Client.Post(e.opts.URL, "application/x-ndjson", bytes.NewReader(line))
-	if err != nil {
-		e.pushes.With("error").Inc()
-		e.opts.Logger.Warn("metrics push failed", "url", e.opts.URL, "error", err.Error())
-		return err
-	}
-	resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		e.pushes.With("error").Inc()
-		e.opts.Logger.Warn("metrics push rejected", "url", e.opts.URL, "status", resp.Status)
-		return nil
-	}
-	e.pushes.With("ok").Inc()
-	return nil
 }

@@ -1,14 +1,8 @@
 package telemetry
 
 import (
-	"encoding/json"
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"runtime"
-	"strings"
 	"testing"
-	"time"
 )
 
 func TestSnapshotRendersAllKinds(t *testing.T) {
@@ -55,113 +49,6 @@ func TestSnapshotRunsCollectHooks(t *testing.T) {
 	t.Fatal("collect hook did not run before snapshot")
 }
 
-func TestExporterPushesNDJSON(t *testing.T) {
-	var (
-		got  ExportPayload
-		ct   string
-		body string
-	)
-	done := make(chan struct{})
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		defer close(done)
-		ct = r.Header.Get("Content-Type")
-		raw, _ := io.ReadAll(r.Body)
-		body = string(raw)
-		if err := json.Unmarshal(raw, &got); err != nil {
-			t.Errorf("payload is not one JSON value: %v", err)
-		}
-	}))
-	defer srv.Close()
-
-	reg := NewRegistry()
-	reg.Counter("masc_test_total", "A counter.").With().Add(5)
-	exp := NewExporter(reg, ExporterOptions{
-		URL:     srv.URL,
-		Node:    "node-1:8080",
-		Version: "v-test",
-		Extra:   func() map[string]interface{} { return map[string]interface{}{"slo": "ok"} },
-	})
-	if err := exp.Push(); err != nil {
-		t.Fatalf("Push: %v", err)
-	}
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("collector never received the push")
-	}
-
-	if ct != "application/x-ndjson" {
-		t.Fatalf("Content-Type = %q", ct)
-	}
-	if !strings.HasSuffix(body, "\n") || strings.Count(body, "\n") != 1 {
-		t.Fatalf("body is not one JSON line: %q", body)
-	}
-	if got.Node != "node-1:8080" || got.Version != "v-test" {
-		t.Fatalf("payload identity = %+v", got)
-	}
-	if got.Extra["slo"] != "ok" {
-		t.Fatalf("payload extra = %+v", got.Extra)
-	}
-	found := false
-	for _, f := range got.Metrics {
-		if f.Name == "masc_test_total" && f.Samples[0].Value == 5 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("pushed metrics missing the counter: %+v", got.Metrics)
-	}
-}
-
-func TestExporterCountsFailedPushes(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "no", http.StatusBadGateway)
-	}))
-	defer srv.Close()
-
-	reg := NewRegistry()
-	exp := NewExporter(reg, ExporterOptions{URL: srv.URL})
-	if err := exp.Push(); err != nil {
-		t.Fatalf("Push on HTTP error should not error: %v", err)
-	}
-	var errors float64
-	for _, f := range reg.Snapshot() {
-		if f.Name != "masc_export_pushes_total" {
-			continue
-		}
-		for _, s := range f.Samples {
-			if s.Labels["outcome"] == "error" {
-				errors = s.Value
-			}
-		}
-	}
-	if errors != 1 {
-		t.Fatalf("masc_export_pushes_total{outcome=error} = %v, want 1", errors)
-	}
-}
-
-func TestExporterStartStop(t *testing.T) {
-	var hits int
-	mu := make(chan struct{}, 100)
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		mu <- struct{}{}
-	}))
-	defer srv.Close()
-
-	exp := NewExporter(NewRegistry(), ExporterOptions{URL: srv.URL, Interval: 10 * time.Millisecond})
-	exp.Start()
-	deadline := time.After(5 * time.Second)
-	for hits < 2 {
-		select {
-		case <-mu:
-			hits++
-		case <-deadline:
-			t.Fatal("push loop never fired")
-		}
-	}
-	exp.Stop() // must not deadlock or panic
-}
-
 func TestRuntimeCollectorPublishesGauges(t *testing.T) {
 	runtime.GC() // ensure at least one GC cycle has been recorded
 	reg := NewRegistry()
@@ -184,22 +71,6 @@ func TestRuntimeCollectorPublishesGauges(t *testing.T) {
 		if !ok {
 			t.Errorf("%s not populated after snapshot", name)
 		}
-	}
-}
-
-func TestCaptureRuntimeDelta(t *testing.T) {
-	before := CaptureRuntime()
-	sink := make([][]byte, 0, 1000)
-	for i := 0; i < 1000; i++ {
-		sink = append(sink, make([]byte, 1024))
-	}
-	_ = sink
-	d := CaptureRuntime().DeltaSince(before)
-	if d.AllocBytes < 1000*1024 {
-		t.Fatalf("AllocBytes = %d, want >= 1MiB", d.AllocBytes)
-	}
-	if d.Mallocs == 0 {
-		t.Fatal("Mallocs = 0")
 	}
 }
 

@@ -1,10 +1,6 @@
 package telemetry
 
-import (
-	"runtime"
-	rtmetrics "runtime/metrics"
-	"time"
-)
+import rtmetrics "runtime/metrics"
 
 // RuntimeCollector publishes Go runtime health — heap pressure, GC
 // pauses, goroutine count — as masc_go_* gauges, read from the
@@ -133,60 +129,4 @@ func histMax(h *rtmetrics.Float64Histogram) float64 {
 		}
 	}
 	return 0
-}
-
-// RuntimeSnapshot is a point-in-time capture of runtime allocation and
-// GC state, embedded in scmbench's -bench-json reports so allocation
-// pressure is tracked across PRs alongside throughput.
-type RuntimeSnapshot struct {
-	Time            time.Time `json:"time"`
-	Goroutines      int       `json:"goroutines"`
-	HeapAllocBytes  uint64    `json:"heap_alloc_bytes"`
-	HeapSysBytes    uint64    `json:"heap_sys_bytes"`
-	TotalAllocBytes uint64    `json:"total_alloc_bytes"`
-	Mallocs         uint64    `json:"mallocs"`
-	GCCycles        uint32    `json:"gc_cycles"`
-	GCPauseTotalNS  uint64    `json:"gc_pause_total_ns"`
-}
-
-// CaptureRuntime reads the current runtime state.
-func CaptureRuntime() RuntimeSnapshot {
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	return RuntimeSnapshot{
-		Time:            time.Now(),
-		Goroutines:      runtime.NumGoroutine(),
-		HeapAllocBytes:  m.HeapAlloc,
-		HeapSysBytes:    m.HeapSys,
-		TotalAllocBytes: m.TotalAlloc,
-		Mallocs:         m.Mallocs,
-		GCCycles:        m.NumGC,
-		GCPauseTotalNS:  m.PauseTotalNs,
-	}
-}
-
-// RuntimeDelta is the allocation/GC cost of a measured interval —
-// the difference between two snapshots, with the end state's heap
-// footprint kept as a peak proxy.
-type RuntimeDelta struct {
-	AllocBytes     uint64 `json:"alloc_bytes"`
-	Mallocs        uint64 `json:"mallocs"`
-	GCCycles       uint32 `json:"gc_cycles"`
-	GCPauseNS      uint64 `json:"gc_pause_ns"`
-	PeakHeapBytes  uint64 `json:"peak_heap_bytes"`
-	GoroutinesEnd  int    `json:"goroutines_end"`
-	DurationMillis int64  `json:"duration_ms"`
-}
-
-// DeltaSince computes the runtime cost between prev and this snapshot.
-func (s RuntimeSnapshot) DeltaSince(prev RuntimeSnapshot) RuntimeDelta {
-	return RuntimeDelta{
-		AllocBytes:     s.TotalAllocBytes - prev.TotalAllocBytes,
-		Mallocs:        s.Mallocs - prev.Mallocs,
-		GCCycles:       s.GCCycles - prev.GCCycles,
-		GCPauseNS:      s.GCPauseTotalNS - prev.GCPauseTotalNS,
-		PeakHeapBytes:  s.HeapSysBytes,
-		GoroutinesEnd:  s.Goroutines,
-		DurationMillis: s.Time.Sub(prev.Time).Milliseconds(),
-	}
 }
