@@ -311,3 +311,50 @@ func TestCloseStopsAnUnstartedClusterNode(t *testing.T) {
 		t.Fatal("Close hangs on a daemon that was never started")
 	}
 }
+
+// TestExchangeAllocCeilings holds one /vep/Retailer exchange through
+// the assembled daemon, under the benchmark's policy bundle, to a
+// count of allocations: the 330 B getCatalog of vep_small and the
+// 700-line one of vep_passthru. The codec used to cost 14 000 of them
+// for the large body; a ceiling (a count, not a duration) makes its
+// return a tier-1 failure.
+func TestExchangeAllocCeilings(t *testing.T) {
+	d, err := New(Config{PolicyDir: "../../benchmark/policies", DataDir: t.TempDir(), Sync: "batched"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	d.Start()
+	h := d.Handler()
+
+	var notes strings.Builder
+	for i := 0; i < 700; i++ {
+		notes.WriteString("<line>fragile pallet 0042</line>")
+	}
+	body := func(extra string) string {
+		return `<soapenv:Envelope xmlns:soapenv="http://schemas.xmlsoap.org/soap/envelope/"><soapenv:Header><m:ConversationID xmlns:m="urn:masc:headers">conv-7-0000042</m:ConversationID></soapenv:Header><soapenv:Body><getCatalog xmlns="urn:wsi:scm"><category>tv</category>` +
+			extra + `</getCatalog></soapenv:Body></soapenv:Envelope>`
+	}
+	for _, c := range []struct {
+		name    string
+		body    string
+		ceiling float64
+	}{
+		{"330 B", body(""), 450},
+		{"passthru", body("<notes>" + notes.String() + "</notes>"), 2000},
+	} {
+		exchange := func() {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/vep/Retailer", strings.NewReader(c.body)))
+			if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "getCatalogResponse") {
+				t.Fatalf("%s: status %d: %s", c.name, rec.Code, rec.Body.String())
+			}
+		}
+		exchange() // first use of the VEP
+		if n := testing.AllocsPerRun(50, exchange); n > c.ceiling {
+			t.Errorf("%s exchange (%d bytes): %.0f allocations, ceiling %.0f", c.name, len(c.body), n, c.ceiling)
+		} else {
+			t.Logf("%s exchange (%d bytes): %.0f allocations", c.name, len(c.body), n)
+		}
+	}
+}

@@ -24,6 +24,7 @@ import (
 	"github.com/masc-project/masc/internal/telemetry/decision"
 	"github.com/masc-project/masc/internal/transport"
 	"github.com/masc-project/masc/internal/wsdl"
+	"github.com/masc-project/masc/internal/xmltree"
 	"github.com/masc-project/masc/internal/xpath"
 )
 
@@ -190,7 +191,10 @@ func (m *Monitor) checkMessage(subject, operation string, env *soap.Envelope, co
 		})
 	}
 
-	root := env.ToXML()
+	// The document the assertions are evaluated on is a deep copy of
+	// the message, so it is built for the first assertion that runs: a
+	// message no policy looks into is not copied.
+	var root *xmltree.Element
 	record := m.decisions != nil
 	for _, mp := range compile.MonitoringsFor(m.repo, subject, operation) {
 		start := m.clk.Now()
@@ -221,6 +225,9 @@ func (m *Monitor) checkMessage(subject, operation string, env *soap.Envelope, co
 			}
 		}
 		for i, a := range assertions {
+			if root == nil {
+				root = env.ToXML()
+			}
 			ok, err := a.EvalBool(root, m.xpathEnv(env))
 			if err != nil || !ok {
 				v := &Violation{

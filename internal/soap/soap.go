@@ -156,13 +156,31 @@ func (e *Envelope) PayloadName() xmltree.Name {
 	return e.Payload.Name
 }
 
-// ToXML converts the envelope to an xmltree document.
+// ToXML converts the envelope to an xmltree document. The document is
+// a deep copy: it can be kept and changed apart from the envelope.
 func (e *Envelope) ToXML() *xmltree.Element {
+	return e.document(true)
+}
+
+// document lays the envelope out as a SOAP 1.1 document. With own set
+// the document holds copies of the header blocks, payload and fault
+// detail; otherwise it refers to the envelope's own trees, which keep
+// their parents — enough for serializing, wrong for anything that
+// climbs from a node to the root.
+func (e *Envelope) document(own bool) *xmltree.Element {
+	attach := func(parent, block *xmltree.Element) {
+		if own {
+			parent.Append(block.Copy())
+		} else {
+			parent.Children = append(parent.Children, block)
+		}
+	}
 	env := xmltree.New(NamespaceEnvelope, "Envelope")
 	if len(e.Headers) > 0 {
 		hdr := xmltree.New(NamespaceEnvelope, "Header")
+		hdr.Children = make([]*xmltree.Element, 0, len(e.Headers))
 		for _, h := range e.Headers {
-			hdr.Append(h.Copy())
+			attach(hdr, h)
 		}
 		env.Append(hdr)
 	}
@@ -179,20 +197,21 @@ func (e *Envelope) ToXML() *xmltree.Element {
 		}
 		if e.Fault.Detail != nil {
 			d := xmltree.New("", "detail")
-			d.Append(e.Fault.Detail.Copy())
+			attach(d, e.Fault.Detail)
 			f.Append(d)
 		}
 		body.Append(f)
 	case e.Payload != nil:
-		body.Append(e.Payload.Copy())
+		attach(body, e.Payload)
 	}
 	env.Append(body)
 	return env
 }
 
-// Encode serializes the envelope to XML text.
+// Encode serializes the envelope to XML text. Nothing is copied: the
+// envelope's own trees are written from where they are.
 func (e *Envelope) Encode() (string, error) {
-	return xmltree.MarshalString(e.ToXML())
+	return xmltree.MarshalString(e.document(false))
 }
 
 // MustEncode serializes the envelope, panicking on writer errors (which
@@ -205,25 +224,34 @@ func (e *Envelope) MustEncode() string {
 	return s
 }
 
-// Decode parses XML text into an Envelope.
+// Decode parses XML text into an Envelope. The envelope takes the
+// header blocks and payload out of the tree it has just parsed, which
+// nobody else holds, instead of copying them.
 func Decode(text string) (*Envelope, error) {
 	root, err := xmltree.ParseString(text)
 	if err != nil {
 		return nil, fmt.Errorf("soap: decode: %w", err)
 	}
-	return FromXML(root)
+	return adopt(root)
 }
 
-// FromXML converts a parsed document into an Envelope.
+// FromXML converts a parsed document into an Envelope. The envelope
+// holds copies — the document is copied once, in Copy's three slabs,
+// and the copy is taken apart; root is left as it was.
 func FromXML(root *xmltree.Element) (*Envelope, error) {
+	return adopt(root.Copy())
+}
+
+// adopt reads the envelope out of a document the caller gives up: the
+// header blocks, the payload and the fault detail leave it as
+// parentless trees the envelope owns.
+func adopt(root *xmltree.Element) (*Envelope, error) {
 	if root.Name.Space != NamespaceEnvelope || root.Name.Local != "Envelope" {
 		return nil, fmt.Errorf("%w: root is %s", ErrNotEnvelope, root.Name)
 	}
 	env := &Envelope{}
-	if hdr := root.Child(NamespaceEnvelope, "Header"); hdr != nil {
-		for _, h := range hdr.Children {
-			env.Headers = append(env.Headers, h.Copy())
-		}
+	if hdr := root.Child(NamespaceEnvelope, "Header"); hdr != nil && len(hdr.Children) > 0 {
+		env.Headers = hdr.TakeChildren()
 	}
 	body := root.Child(NamespaceEnvelope, "Body")
 	if body == nil {
@@ -240,12 +268,12 @@ func FromXML(root *xmltree.Element) (*Envelope, error) {
 			Actor:  first.ChildText("", "faultactor"),
 		}
 		if d := first.Child("", "detail"); d != nil && len(d.Children) > 0 {
-			f.Detail = d.Children[0].Copy()
+			f.Detail = d.TakeChildren()[0]
 		}
 		env.Fault = f
 		return env, nil
 	}
-	env.Payload = first.Copy()
+	env.Payload = body.TakeChildren()[0]
 	return env, nil
 }
 

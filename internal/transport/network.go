@@ -118,11 +118,16 @@ func (n *Network) Invoke(ctx context.Context, addr string, req *soap.Envelope) (
 		return nil, fmt.Errorf("%w: %s", ErrEndpointNotFound, addr)
 	}
 
-	reqText, err := req.Encode()
-	if err != nil {
-		return nil, fmt.Errorf("transport: encode request: %w", err)
+	// The request is serialized only to learn the size the delay
+	// profiles charge for; an endpoint with neither pays nothing.
+	reqSize := 0
+	if ep.link != nil || ep.service.PerKB != 0 {
+		reqText, err := req.Encode()
+		if err != nil {
+			return nil, fmt.Errorf("transport: encode request: %w", err)
+		}
+		reqSize = len(reqText)
 	}
-	reqSize := len(reqText)
 
 	var injected faultinject.Outcome
 	if ep.injector != nil {

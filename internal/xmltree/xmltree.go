@@ -8,9 +8,7 @@
 package xmltree
 
 import (
-	"encoding/xml"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 )
@@ -93,6 +91,17 @@ func (e *Element) RemoveChild(c *Element) bool {
 		}
 	}
 	return false
+}
+
+// TakeChildren removes all children from e and returns them, each with
+// no parent: the caller now owns them as roots of their own.
+func (e *Element) TakeChildren() []*Element {
+	taken := e.Children
+	e.Children = nil
+	for _, c := range taken {
+		c.parent = nil
+	}
+	return taken
 }
 
 // ReplaceChild swaps the first child pointer-equal to old with repl and
@@ -184,18 +193,57 @@ func (e *Element) Path(locals ...string) *Element {
 
 // Copy returns a deep copy of the subtree rooted at e. The copy's parent
 // is nil.
+//
+// The copy is made of three allocations — its elements, their child
+// pointers and their attributes — so any part of it that stays
+// reachable keeps all of it alive. Callers keep or drop copies whole
+// (a cloned envelope, a stored message); one that detaches a small
+// piece of a large copy to keep it for long should Copy that piece.
 func (e *Element) Copy() *Element {
-	cp := &Element{Name: e.Name, Text: e.Text}
-	if len(e.Attrs) > 0 {
-		cp.Attrs = make([]Attr, len(e.Attrs))
+	var n treeSize
+	n.add(e)
+	c := copier{els: make([]Element, n.els)}
+	if n.kids > 0 {
+		c.kids = make([]*Element, n.kids)
+	}
+	if n.attrs > 0 {
+		c.attrs = make([]Attr, n.attrs)
+	}
+	return c.copy(e, nil)
+}
+
+type treeSize struct{ els, kids, attrs int }
+
+func (n *treeSize) add(e *Element) {
+	n.els++
+	n.kids += len(e.Children)
+	n.attrs += len(e.Attrs)
+	for _, c := range e.Children {
+		n.add(c)
+	}
+}
+
+// copier hands out the unused rest of each slab.
+type copier struct {
+	els   []Element
+	kids  []*Element
+	attrs []Attr
+}
+
+func (c *copier) copy(e, parent *Element) *Element {
+	cp := &c.els[0]
+	c.els = c.els[1:]
+	cp.Name, cp.Text, cp.parent = e.Name, e.Text, parent
+	// Capacities stop at the lengths so that an append to one element's
+	// slice reallocates instead of writing into its neighbour's.
+	if n := len(e.Attrs); n > 0 {
+		cp.Attrs, c.attrs = c.attrs[:n:n], c.attrs[n:]
 		copy(cp.Attrs, e.Attrs)
 	}
-	if len(e.Children) > 0 {
-		cp.Children = make([]*Element, 0, len(e.Children))
-		for _, c := range e.Children {
-			cc := c.Copy()
-			cc.parent = cp
-			cp.Children = append(cp.Children, cc)
+	if n := len(e.Children); n > 0 {
+		cp.Children, c.kids = c.kids[:n:n], c.kids[n:]
+		for i, child := range e.Children {
+			cp.Children[i] = c.copy(child, cp)
 		}
 	}
 	return cp
@@ -292,88 +340,4 @@ func Equal(a, b *Element) bool {
 		}
 	}
 	return true
-}
-
-// Parse reads one XML document from r and returns its root element.
-func Parse(r io.Reader) (*Element, error) {
-	dec := xml.NewDecoder(r)
-	var root *Element
-	var stack []*Element
-	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("xmltree: parse: %w", err)
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			el := New(t.Name.Space, t.Name.Local)
-			for _, a := range t.Attr {
-				// Drop namespace declarations; the decoder has already
-				// resolved prefixes into Name.Space.
-				if a.Name.Space == "xmlns" || (a.Name.Space == "" && a.Name.Local == "xmlns") {
-					continue
-				}
-				el.Attrs = append(el.Attrs, Attr{
-					Name:  Name{Space: a.Name.Space, Local: a.Name.Local},
-					Value: a.Value,
-				})
-			}
-			if len(stack) == 0 {
-				if root != nil {
-					return nil, fmt.Errorf("xmltree: multiple root elements")
-				}
-				root = el
-			} else {
-				stack[len(stack)-1].Append(el)
-			}
-			stack = append(stack, el)
-		case xml.EndElement:
-			if len(stack) == 0 {
-				return nil, fmt.Errorf("xmltree: unbalanced end element %s", t.Name.Local)
-			}
-			stack = stack[:len(stack)-1]
-		case xml.CharData:
-			if len(stack) > 0 {
-				text := string(t)
-				if strings.TrimSpace(text) != "" || stack[len(stack)-1].Text != "" {
-					stack[len(stack)-1].Text += text
-				}
-			}
-		}
-	}
-	if root == nil {
-		return nil, fmt.Errorf("xmltree: empty document")
-	}
-	if len(stack) != 0 {
-		return nil, fmt.Errorf("xmltree: unexpected EOF inside element %s", stack[len(stack)-1].Name.Local)
-	}
-	// Whitespace-only text on elements that have children is formatting
-	// noise from indented documents; strip it.
-	root.Walk(func(e *Element) bool {
-		if len(e.Children) > 0 && strings.TrimSpace(e.Text) == "" {
-			e.Text = ""
-		} else {
-			e.Text = strings.TrimSpace(e.Text)
-		}
-		return true
-	})
-	return root, nil
-}
-
-// ParseString is Parse over a string.
-func ParseString(s string) (*Element, error) {
-	return Parse(strings.NewReader(s))
-}
-
-// MustParseString parses s and panics on error. For tests and embedded
-// static documents only.
-func MustParseString(s string) *Element {
-	e, err := ParseString(s)
-	if err != nil {
-		panic(err)
-	}
-	return e
 }

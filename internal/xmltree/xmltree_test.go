@@ -177,6 +177,25 @@ func TestSetAttrOverwrites(t *testing.T) {
 	}
 }
 
+func TestTakeChildren(t *testing.T) {
+	e := MustParseString(`<r><a/><b><c/></b></r>`)
+	kids := e.TakeChildren()
+	if len(kids) != 2 || len(e.Children) != 0 {
+		t.Fatalf("took %d children, %d left", len(kids), len(e.Children))
+	}
+	for _, k := range kids {
+		if k.Parent() != nil {
+			t.Fatalf("%v still has a parent", k.Name)
+		}
+	}
+	if c := kids[1].Child("", "c"); c == nil || c.Parent() != kids[1] {
+		t.Fatal("a taken child must keep its own subtree")
+	}
+	if New("", "leaf").TakeChildren() != nil {
+		t.Fatal("a leaf has no children to take")
+	}
+}
+
 func TestFindAndFindAll(t *testing.T) {
 	e := MustParseString(`<r><x v="1"/><y><x v="2"/></y><x v="3"/></r>`)
 	first := e.Find(func(n *Element) bool { return n.Name.Local == "x" })
