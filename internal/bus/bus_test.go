@@ -265,7 +265,14 @@ func TestSubstituteRespectsMaxAlternatives(t *testing.T) {
 }
 
 func TestConcurrentInvocationFirstWins(t *testing.T) {
-	slow := &scriptedService{delay: 200 * time.Millisecond}
+	// The slow service answers only once the test ends, so the
+	// broadcast can return only through the first responder.
+	release := make(chan struct{})
+	defer close(release)
+	slow := &scriptedService{respond: func(req *soap.Envelope) *soap.Envelope {
+		<-release
+		return soap.NewRequest(xmltree.New("urn:scm", "getCatalogResponse"))
+	}}
 	fast := &scriptedService{}
 	xml := `
 <PolicyDocument xmlns="urn:masc:ws-policy4masc" name="p">
@@ -279,16 +286,25 @@ func TestConcurrentInvocationFirstWins(t *testing.T) {
 	_, v, _ := testBus(t, xml, map[string]*scriptedService{
 		"inproc://a": primary, "inproc://b": slow, "inproc://c": fast,
 	}, VEPConfig{Selection: policy.SelectFirst})
-	start := time.Now()
-	resp, err := v.Invoke(context.Background(), "", catalogReq(t))
-	elapsed := time.Since(start)
-	if err != nil || resp.IsFault() {
-		t.Fatalf("resp=%v err=%v", resp, err)
+	// The broadcast includes the (failing) primary and both others.
+	type result struct {
+		resp *soap.Envelope
+		err  error
 	}
-	// The broadcast includes the (failing) primary and both others;
-	// the fast service should win well before the slow one finishes.
-	if elapsed > 150*time.Millisecond {
-		t.Fatalf("broadcast took %v; first responder should win", elapsed)
+	done := make(chan result, 1)
+	req := catalogReq(t)
+	go func() {
+		resp, err := v.Invoke(context.Background(), "", req)
+		done <- result{resp, err}
+	}()
+	var r result
+	select {
+	case r = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("broadcast waits for the slowest target; first responder should win")
+	}
+	if r.err != nil || r.resp.IsFault() {
+		t.Fatalf("resp=%v err=%v", r.resp, r.err)
 	}
 	if fast.count() != 1 {
 		t.Fatalf("fast calls = %d", fast.count())

@@ -59,40 +59,39 @@ type AdaptationService struct {
 	mu         sync.Mutex
 	variations map[string]workflow.Activity
 
-	wg sync.WaitGroup // delayed-resume goroutines
+	// closed ends pending delayed resumes; wg counts their goroutines.
+	closed    chan struct{}
+	closeOnce sync.Once
+	wg        sync.WaitGroup
 }
 
-// SetTelemetry wires the observability layer: process-action and
-// customization counters plus trace annotations on the adapted
-// instance's span. Nil disables instrumentation.
-func (s *AdaptationService) SetTelemetry(tel *telemetry.Telemetry) {
-	s.tel = tel
+// newAdaptationService builds the adaptation service with its
+// process-action and customization counters and its trace annotations
+// on the adapted instance's span (no-ops with a nil tel). NewStack
+// registers it with the engine and the bus.
+func newAdaptationService(engine *workflow.Engine, repo *policy.Repository, events *event.Bus, clk clock.Clock, tel *telemetry.Telemetry) *AdaptationService {
 	r := tel.Registry()
-	s.procActions = r.Counter("masc_process_actions_total",
-		"Cross-layer process actions executed by outcome (ok, error).", "action", "outcome")
-	s.customizations = r.Counter("masc_customizations_total",
-		"Customization policies applied to instances by mode (static, dynamic).", "policy", "mode")
-	s.log = tel.Logger("adaptation")
-}
-
-// NewAdaptationService builds the adaptation service. Register it with
-// the engine via engine.AddRuntimeService and with the bus via
-// bus.SetProcessAdapter.
-func NewAdaptationService(engine *workflow.Engine, repo *policy.Repository, events *event.Bus, clk clock.Clock) *AdaptationService {
-	if clk == nil {
-		clk = clock.New()
-	}
 	return &AdaptationService{
-		engine:     engine,
-		repo:       repo,
-		events:     events,
-		clk:        clk,
+		engine: engine,
+		repo:   repo,
+		events: events,
+		clk:    clk,
+		tel:    tel,
+		procActions: r.Counter("masc_process_actions_total",
+			"Cross-layer process actions executed by outcome (ok, error).", "action", "outcome"),
+		customizations: r.Counter("masc_customizations_total",
+			"Customization policies applied to instances by mode (static, dynamic).", "policy", "mode"),
+		log:        tel.Logger("adaptation"),
 		variations: make(map[string]workflow.Activity),
+		closed:     make(chan struct{}),
 	}
 }
 
-// Close waits for background work (delayed resumes) to finish.
+// Close abandons pending DelayProcess resumes rather than sleeping them
+// out: a delayed instance stays suspended, as its last checkpoint
+// records it, and is resumed after recovery. It is idempotent.
 func (s *AdaptationService) Close() {
+	s.closeOnce.Do(func() { close(s.closed) })
 	s.wg.Wait()
 }
 
@@ -322,10 +321,13 @@ func (s *AdaptationService) executeProcessAction(_ context.Context, instanceID s
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			s.clk.Sleep(a.Duration)
-			// The instance may have finished or been terminated while
-			// delayed; Resume's state check handles that.
-			_ = inst.Resume()
+			select {
+			case <-s.clk.After(a.Duration):
+				// The instance may have finished or been terminated while
+				// delayed; Resume's state check handles that.
+				_ = inst.Resume()
+			case <-s.closed:
+			}
 		}()
 		return nil
 	case policy.AdjustTimeoutAction:

@@ -644,7 +644,6 @@ func TestStackOptions(t *testing.T) {
 		WithClock(fc),
 		WithPolicyRepository(repo),
 		WithSeed(99),
-		WithRegistry(nil), // nil registry: a fresh one is created
 	)
 	t.Cleanup(s.Close)
 	if s.Policies != repo {
@@ -797,5 +796,49 @@ func TestCrossLayerResumeAfterRecovery(t *testing.T) {
 	}
 	if !strings.Contains(strings.Join(f.calls(), ","), "confirm") {
 		t.Fatalf("post-recovery activity never ran: %v", f.calls())
+	}
+}
+
+func TestHistoryConditionGatesDynamicCustomization(t *testing.T) {
+	// A customization that must only fire once an instance has
+	// exchanged at least 2 messages ($instanceMessageCount): the
+	// paper's multi-message pre-condition.
+	s, f := tradingStack(t, `
+<PolicyDocument xmlns="urn:masc:ws-policy4masc" name="hist">
+  <AdaptationPolicy name="after-two-messages" subject="TradingProcess" kind="customization" layer="process" priority="5">
+    <OnEvent type="message.intercepted"/>
+    <Condition>$instanceMessageCount >= 3</Condition>
+    <StateBefore></StateBefore>
+    <StateAfter>history-triggered</StateAfter>
+    <Actions>
+      <AddActivity position="atEnd">
+        <Activity><invoke name="Extra" endpoint="inproc://pest" operation="assess" input="order"/></Activity>
+      </AddActivity>
+    </Actions>
+  </AdaptationPolicy>
+</PolicyDocument>`)
+
+	// Proxy two services through VEPs so their messages are observed.
+	for i, addr := range []string{"inproc://fundmanager", "inproc://analysis"} {
+		name := []string{"VFund", "VAnalysis"}[i]
+		if _, err := s.Bus.CreateVEP(busVEPConfig(name, addr)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Bus.Proxy(addr, name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inst, _ := runToCompletion(t, s, domesticOrder(t))
+	if inst.AdaptationState() != "history-triggered" {
+		t.Fatalf("state = %q; history condition never satisfied", inst.AdaptationState())
+	}
+	found := false
+	for _, c := range f.calls() {
+		if strings.Contains(c, "pest assess") {
+			found = true
+		}
+	}
+	if !found {
+		t.Fatalf("history-gated activity never ran: %v", f.calls())
 	}
 }

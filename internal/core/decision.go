@@ -47,61 +47,49 @@ func instanceXPathEnv(inst *workflow.Instance) xpath.Context {
 //   - fault.detected / sla.violation → process-scoped corrective
 //     policies (policies scoped to VEP subjects are enforced inside the
 //     bus itself).
-//
-// Subscribe attaches it to an event bus; Unsubscribe (the returned
-// function) detaches it.
 type DecisionMaker struct {
 	engine *workflow.Engine
 	repo   *policy.Repository
 	adapt  *AdaptationService
-	events *event.Bus
-	store  *monitor.Store
+	// store is the MonitoringStore, so policy conditions can reference
+	// message history ($instanceMessageCount) — the paper's "situations
+	// when adaptation pre-conditions refer to several different SOAP
+	// messages" (§2.1).
+	store *monitor.Store
 
 	// evaluations counts decision rounds by trigger event type;
-	// dispatches counts dispatched policies by outcome. Both are
-	// nil-safe no-ops until SetTelemetry wires a registry.
+	// dispatches counts dispatched policies by outcome; log audits every
+	// dispatch. All are no-ops with a nil telemetry hub.
 	evaluations *telemetry.CounterVec
 	dispatches  *telemetry.CounterVec
 	log         *telemetry.Logger
-	decisions   *decision.Recorder
+	// decisions receives a provenance record of every adaptation-policy
+	// evaluation — including policyApplies rejections — with its inputs,
+	// verdict, and dispatch outcome. Nil disables capture.
+	decisions *decision.Recorder
 }
 
-// SetDecisions wires the decision-provenance recorder: every
-// adaptation-policy evaluation — including policyApplies rejections —
-// leaves a record with its inputs, verdict, and dispatch outcome. Nil
-// disables capture.
-func (d *DecisionMaker) SetDecisions(rec *decision.Recorder) { d.decisions = rec }
-
-// SetTelemetry wires the observability layer: policy-evaluation and
-// dispatch counters plus audit records of every dispatched policy.
-// Nil disables instrumentation.
-func (d *DecisionMaker) SetTelemetry(tel *telemetry.Telemetry) {
+// newDecisionMaker builds the decision maker and subscribes it to the
+// process-layer triggers on events; the returned function detaches it.
+func newDecisionMaker(engine *workflow.Engine, repo *policy.Repository, adapt *AdaptationService,
+	events *event.Bus, store *monitor.Store, tel *telemetry.Telemetry, rec *decision.Recorder) (*DecisionMaker, func()) {
 	r := tel.Registry()
-	d.evaluations = r.Counter("masc_policy_evaluations_total",
-		"Decision-maker evaluation rounds by trigger event type.", "trigger")
-	d.dispatches = r.Counter("masc_policy_dispatches_total",
-		"Adaptation policies dispatched by the decision maker by outcome (ok, error).", "policy", "outcome")
-	d.log = tel.Logger("decision")
-}
-
-// NewDecisionMaker builds a decision maker.
-func NewDecisionMaker(engine *workflow.Engine, repo *policy.Repository, adapt *AdaptationService, events *event.Bus) *DecisionMaker {
-	return &DecisionMaker{engine: engine, repo: repo, adapt: adapt, events: events}
-}
-
-// SetStore attaches the MonitoringStore so policy conditions can
-// reference message history ($instanceMessageCount) — the paper's
-// "situations when adaptation pre-conditions refer to several
-// different SOAP messages" (§2.1).
-func (d *DecisionMaker) SetStore(s *monitor.Store) { d.store = s }
-
-// Subscribe attaches the decision maker to the event bus and returns
-// the detach function.
-func (d *DecisionMaker) Subscribe() (unsubscribe func()) {
-	un1 := d.events.Subscribe(event.TypeMessageIntercepted, d.onEvent)
-	un2 := d.events.Subscribe(event.TypeFaultDetected, d.onEvent)
-	un3 := d.events.Subscribe(event.TypeSLAViolation, d.onEvent)
-	return func() {
+	d := &DecisionMaker{
+		engine: engine,
+		repo:   repo,
+		adapt:  adapt,
+		store:  store,
+		evaluations: r.Counter("masc_policy_evaluations_total",
+			"Decision-maker evaluation rounds by trigger event type.", "trigger"),
+		dispatches: r.Counter("masc_policy_dispatches_total",
+			"Adaptation policies dispatched by the decision maker by outcome (ok, error).", "policy", "outcome"),
+		log:       tel.Logger("decision"),
+		decisions: rec,
+	}
+	un1 := events.Subscribe(event.TypeMessageIntercepted, d.onEvent)
+	un2 := events.Subscribe(event.TypeFaultDetected, d.onEvent)
+	un3 := events.Subscribe(event.TypeSLAViolation, d.onEvent)
+	return d, func() {
 		un1()
 		un2()
 		un3()
@@ -135,6 +123,9 @@ func (d *DecisionMaker) onEvent(ev event.Event) {
 			continue
 		}
 		d.dispatches.With(pol.Name, "ok").Inc()
+		if pol.Kind == policy.KindCustomization {
+			d.adapt.customizations.With(pol.Name, "dynamic").Inc()
+		}
 		d.auditDispatch(pol, inst, ev, "ok")
 		if pol.StateAfter != "" {
 			inst.SetAdaptationState(pol.StateAfter)
@@ -252,5 +243,3 @@ func (d *DecisionMaker) dispatch(pol *compile.CompiledAdaptation, inst *workflow
 	}
 	return nil
 }
-
-var _ = event.TypeAdaptationRequested

@@ -8,6 +8,7 @@ import (
 	"github.com/masc-project/masc/internal/policy"
 	"github.com/masc-project/masc/internal/qos"
 	"github.com/masc-project/masc/internal/registry"
+	"github.com/masc-project/masc/internal/store"
 	"github.com/masc-project/masc/internal/telemetry"
 	"github.com/masc-project/masc/internal/telemetry/decision"
 	"github.com/masc-project/masc/internal/transport"
@@ -56,9 +57,9 @@ type stackConfig struct {
 	clk       clock.Clock
 	repo      *policy.Repository
 	seed      int64
-	registry  *registry.Registry
 	tel       *telemetry.Telemetry
 	decisions *decision.Recorder
+	store     *store.Store
 }
 
 // WithClock injects the time source used by every component.
@@ -76,11 +77,6 @@ func WithSeed(seed int64) StackOption {
 	return func(c *stackConfig) { c.seed = seed }
 }
 
-// WithRegistry supplies a service directory.
-func WithRegistry(r *registry.Registry) StackOption {
-	return func(c *stackConfig) { c.registry = r }
-}
-
 // WithDecisionRecorder wires one decision-provenance recorder through
 // every policy-evaluation site: monitoring checks, the DecisionMaker's
 // adaptation matching, and the bus protection/recovery paths.
@@ -96,9 +92,19 @@ func WithTelemetry(tel *telemetry.Telemetry) StackOption {
 	return func(c *stackConfig) { c.tel = tel }
 }
 
+// WithStore gives the bus a durable store, so its retry queues and
+// dead-letter queues survive a restart. Nil leaves them in memory.
+func WithStore(st *store.Store) StackOption {
+	return func(c *stackConfig) { c.store = st }
+}
+
 // NewStack assembles the middleware over a downstream transport
 // (typically a transport.Network in experiments, or HTTP invokers in
-// real deployments).
+// real deployments), in this order: event bus → bus (with its QoS
+// tracker and monitor) → engine → adaptation service → decision maker
+// → ledger → trace tap. The adaptation service is the engine's first
+// runtime service, so a persistence service attached afterwards
+// checkpoints instances after static customization.
 func NewStack(downstream transport.Invoker, opts ...StackOption) *Stack {
 	cfg := stackConfig{clk: clock.New(), seed: 1}
 	for _, opt := range opts {
@@ -107,32 +113,20 @@ func NewStack(downstream transport.Invoker, opts ...StackOption) *Stack {
 	if cfg.repo == nil {
 		cfg.repo = policy.NewRepository()
 	}
-	if cfg.registry == nil {
-		cfg.registry = registry.New()
-	}
 
 	events := event.NewBus()
-	tracker := qos.NewTracker(0, qos.WithClock(cfg.clk))
-	mon := monitor.New(cfg.repo,
-		monitor.WithClock(cfg.clk),
-		monitor.WithQoSTracker(tracker),
-		monitor.WithEventBus(events),
-		monitor.WithStore(monitor.NewStore(0)),
-		monitor.WithJournal(cfg.tel.Logs()),
-		monitor.WithDecisions(cfg.decisions),
-	)
 	b := bus.New(downstream,
 		bus.WithClock(cfg.clk),
 		bus.WithEventBus(events),
 		bus.WithPolicyRepository(cfg.repo),
-		bus.WithQoSTracker(tracker),
-		bus.WithMonitor(mon),
 		bus.WithSeed(cfg.seed),
 		bus.WithTelemetry(cfg.tel),
 		bus.WithDecisions(cfg.decisions),
+		bus.WithStore(cfg.store),
 	)
+	tracker := b.Tracker()
 
-	reg := cfg.registry
+	reg := registry.New()
 	resolver := workflow.ResolverFunc(func(serviceType string) (string, error) {
 		// Dynamic Find/Select/Bind: prefer the best measured performer
 		// among registered implementations, falling back to the first.
@@ -153,28 +147,23 @@ func NewStack(downstream transport.Invoker, opts ...StackOption) *Stack {
 		workflow.WithTelemetry(cfg.tel),
 	)
 
-	adapt := NewAdaptationService(engine, cfg.repo, events, cfg.clk)
-	adapt.SetTelemetry(cfg.tel)
+	adapt := newAdaptationService(engine, cfg.repo, events, cfg.clk, cfg.tel)
 	engine.AddRuntimeService(adapt)
 	b.SetProcessAdapter(adapt)
 
-	decisions := NewDecisionMaker(engine, cfg.repo, adapt, events)
-	decisions.SetTelemetry(cfg.tel)
-	decisions.SetStore(mon.Store())
-	decisions.SetDecisions(cfg.decisions)
-	unDecide := decisions.Subscribe()
+	decisions, unDecide := newDecisionMaker(engine, cfg.repo, adapt, events,
+		b.Monitor().Store(), cfg.tel, cfg.decisions)
 
 	ledger := NewLedger()
 	unLedger := ledger.Attach(events)
 
 	unTap := cfg.tel.Traces().TapEventBus(events)
-	unsubs := []func(){unDecide, unLedger, unTap}
 
 	return &Stack{
 		Events:      events,
 		Policies:    cfg.repo,
 		Tracker:     tracker,
-		Monitor:     mon,
+		Monitor:     b.Monitor(),
 		Bus:         b,
 		Engine:      engine,
 		Adaptation:  adapt,
@@ -184,12 +173,12 @@ func NewStack(downstream transport.Invoker, opts ...StackOption) *Stack {
 		Telemetry:   cfg.tel,
 		Provenance:  cfg.decisions,
 		clk:         cfg.clk,
-		unsubscribe: unsubs,
+		unsubscribe: []func(){unDecide, unLedger, unTap},
 	}
 }
 
-// Close detaches subscriptions and waits for background adaptation
-// work.
+// Close detaches the stack's subscribers and abandons pending delayed
+// resumes (AdaptationService.Close). It is idempotent.
 func (s *Stack) Close() {
 	for _, un := range s.unsubscribe {
 		un()

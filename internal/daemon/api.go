@@ -159,8 +159,8 @@ func (d *Daemon) vepsIndex(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	out := []vepSummary{}
-	for _, name := range d.gateway.VEPs() {
-		v, err := d.gateway.VEP(name)
+	for _, name := range d.stack.Bus.VEPs() {
+		v, err := d.stack.Bus.VEP(name)
 		if err != nil {
 			continue
 		}
@@ -176,7 +176,7 @@ func (d *Daemon) vepsIndex(w http.ResponseWriter, r *http.Request) {
 func (d *Daemon) vepManage(w http.ResponseWriter, r *http.Request) {
 	rest := strings.TrimPrefix(r.URL.Path, apiPrefix+"/veps/")
 	name, sub, _ := strings.Cut(rest, "/")
-	v, err := d.gateway.VEP(name)
+	v, err := d.stack.Bus.VEP(name)
 	if err != nil {
 		writeAPIError(w, http.StatusNotFound, err.Error())
 		return

@@ -224,7 +224,7 @@ func (cr *clusterRuntime) promote(dead cluster.Member) {
 	// dead node's checkpoints; the engine's own attached service (on
 	// this node's store) takes over checkpointing from here.
 	p := workflow.NewPersistenceServiceWith(replica, cr.d.tel, cr.d.ckptOpts)
-	rep, err := p.Recover(cr.d.engine)
+	rep, err := p.Recover(cr.d.stack.Engine)
 	p.Close()
 	if err != nil {
 		log.Error("promotion recovery failed", "dead", dead.ID, "error", err.Error())

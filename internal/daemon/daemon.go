@@ -1,12 +1,13 @@
 // Package daemon assembles the MASC middleware as one deployable node:
-// the SCM services on an in-process network, a wsBus gateway mediating
-// them through a Retailer VEP under WS-Policy4MASC policies compiled
-// to an immutable decision IR, the hosted OrderingProcess composition,
-// the self-observation plane, and — when configured — a durable store
-// and a cluster runtime. New is the only place these are wired;
-// cmd/mascd parses flags into a Config and owns the listener, tests
-// serve Handler from httptest. DESIGN.md "Daemon assembly" gives the
-// construction and teardown order.
+// the SCM services on an in-process network, the core.NewStack
+// middleware (a wsBus gateway mediating them through a Retailer VEP
+// under WS-Policy4MASC policies compiled to an immutable decision IR,
+// and the engine with its adaptation service and decision maker), the
+// hosted OrderingProcess composition, the self-observation plane, and
+// — when configured — a durable store and a cluster runtime. New is the
+// only place these are wired; cmd/mascd parses flags into a Config and
+// owns the listener, tests serve Handler from httptest. DESIGN.md
+// "Daemon assembly" gives the construction and teardown order.
 package daemon
 
 import (
@@ -23,7 +24,7 @@ import (
 
 	"github.com/masc-project/masc/internal/bus"
 	"github.com/masc-project/masc/internal/cluster"
-	"github.com/masc-project/masc/internal/event"
+	"github.com/masc-project/masc/internal/core"
 	"github.com/masc-project/masc/internal/policy"
 	"github.com/masc-project/masc/internal/policy/compile"
 	"github.com/masc-project/masc/internal/scm"
@@ -82,13 +83,12 @@ func (c *ClusterConfig) enabled() bool { return c.NodeID != "" }
 // Daemon is one assembled node: the running gateway's shared state
 // for the HTTP handlers, plus what Close tears down.
 type Daemon struct {
-	gateway   *bus.Bus
+	stack     *core.Stack
 	network   *transport.Network
 	repo      *policy.Repository
 	policyDir string
 	tel       *telemetry.Telemetry
 	start     time.Time
-	engine    *workflow.Engine
 	st        *store.Store
 	persist   *workflow.PersistenceService
 	ckptOpts  workflow.PersistenceOptions
@@ -107,7 +107,6 @@ type Daemon struct {
 	inflight  sync.WaitGroup
 	inflightN atomic.Int64
 
-	unTap     func()
 	stop      chan struct{} // closed by Close; ends the SLO ticker
 	ticker    sync.WaitGroup
 	closeOnce sync.Once
@@ -115,10 +114,11 @@ type Daemon struct {
 }
 
 // New wires one daemon from cfg: policy repository → compile →
-// decision recorder → store → bus and Retailer VEP → SLO engine →
-// flight recorder → decision log → engine, persistence and boot-time
-// recovery → cluster runtime → mux. Nothing runs in the background
-// until Start; on error everything already opened is closed again.
+// decision recorder → store → middleware stack (core.NewStack) and
+// Retailer VEP → SLO engine → flight recorder → decision log →
+// OrderingProcess, persistence and boot-time recovery → cluster
+// runtime → mux. Nothing runs in the background until Start; on error
+// everything already opened is closed again.
 func New(cfg Config) (_ *Daemon, err error) {
 	// Backend SCM services on an in-process network but also exposed
 	// over HTTP so external tools can hit them directly.
@@ -129,7 +129,6 @@ func New(cfg Config) (_ *Daemon, err error) {
 	}
 
 	tel := telemetry.New(0)
-	events := event.NewBus()
 
 	// Every document set loaded into the repository is compiled to the
 	// immutable decision IR and swapped in atomically, so compile.Lookup
@@ -190,18 +189,16 @@ func New(cfg Config) (_ *Daemon, err error) {
 		}
 	}
 
-	busOpts := []bus.Option{
-		bus.WithPolicyRepository(repo),
-		bus.WithEventBus(events),
-		bus.WithTelemetry(tel),
-		bus.WithDecisions(dec),
-	}
-	if d.st != nil {
-		busOpts = append(busOpts, bus.WithStore(d.st))
-	}
-	d.gateway = bus.New(network, busOpts...)
-	d.unTap = tel.Tracer.TapEventBus(events)
-	if _, err := d.gateway.CreateVEP(bus.VEPConfig{
+	// The middleware proper: events → bus → engine → adaptation service
+	// → decision maker → ledger → trace tap. The adaptation service is
+	// the engine's first runtime service, so persistence (attached in
+	// setupWorkflow) checkpoints instances after static customization.
+	d.stack = core.NewStack(network,
+		core.WithPolicyRepository(repo),
+		core.WithTelemetry(tel),
+		core.WithDecisionRecorder(dec),
+		core.WithStore(d.st))
+	if _, err := d.stack.Bus.CreateVEP(bus.VEPConfig{
 		Name:      "Retailer",
 		Services:  deployment.RetailerAddrs,
 		Contract:  scm.RetailerContract(),
@@ -216,13 +213,13 @@ func New(cfg Config) (_ *Daemon, err error) {
 	// fault flight recorder.
 	telemetry.NewRuntimeCollector(tel.Registry())
 	var subjects []string
-	for _, name := range d.gateway.VEPs() {
+	for _, name := range d.stack.Bus.VEPs() {
 		subjects = append(subjects, bus.SubjectPrefix+name)
 	}
 	d.slo = slo.NewEngine(
 		slo.DeriveObjectives(repo, subjects, slo.Objective{Availability: 0.99}),
 		slo.Options{Registry: tel.Registry(), Journal: tel.Logs(), Decisions: dec})
-	d.gateway.SetInvocationObserver(d.slo)
+	d.stack.Bus.SetInvocationObserver(d.slo)
 
 	if cfg.DataDir != "" {
 		d.flight, err = flightrec.New(flightrec.Options{
@@ -235,7 +232,7 @@ func New(cfg Config) (_ *Daemon, err error) {
 		if err != nil {
 			return nil, err
 		}
-		d.flight.Attach(events)
+		d.flight.Attach(d.stack.Events)
 
 		cfg.DecisionLog.Metrics = tel.Registry()
 		d.dlog, err = decision.OpenLog(filepath.Join(cfg.DataDir, "decisions"), cfg.DecisionLog)
@@ -248,9 +245,6 @@ func New(cfg Config) (_ *Daemon, err error) {
 	// Process layer: the OrderingProcess composition runs over the
 	// gateway; with a data dir its instances (and the retry queue / DLQ)
 	// survive restarts, and interrupted instances are rebuilt here.
-	d.engine = workflow.NewEngine(d.gateway,
-		workflow.WithEventBus(events),
-		workflow.WithTelemetry(tel))
 	if err := d.setupWorkflow(); err != nil {
 		return nil, err
 	}
@@ -266,7 +260,7 @@ func New(cfg Config) (_ *Daemon, err error) {
 	// and on stderr as a JSON log line.
 	tel.Logger("mascd").Output(os.Stderr).Info("mascd starting",
 		"version", version.Version,
-		"veps", strings.Join(d.gateway.VEPs(), ","))
+		"veps", strings.Join(d.stack.Bus.VEPs(), ","))
 	return d, nil
 }
 
@@ -277,10 +271,10 @@ func (d *Daemon) Handler() http.Handler { return d.mux }
 
 // Gateway returns the wsBus gateway, the runtime surface for
 // reconfiguring VEPs (CreateVEP, VEP(..).RegisterService/SetSelection).
-func (d *Daemon) Gateway() *bus.Bus { return d.gateway }
+func (d *Daemon) Gateway() *bus.Bus { return d.stack.Bus }
 
 // Engine returns the process engine hosting OrderingProcess.
-func (d *Daemon) Engine() *workflow.Engine { return d.engine }
+func (d *Daemon) Engine() *workflow.Engine { return d.stack.Engine }
 
 // Store returns the durable store, nil without Config.DataDir.
 func (d *Daemon) Store() *store.Store { return d.st }
@@ -325,14 +319,18 @@ func (d *Daemon) Drain(ctx context.Context) error {
 }
 
 // Close tears the daemon down in reverse construction order: cluster
-// runtime, checkpoint queue (drained before the store closes),
-// decision log, flight recorder, SLO ticker, event-bus tap, store. It
-// is safe on a partly built daemon and idempotent; the error joins
-// what the decision log and the store reported on their final flush.
+// runtime, middleware stack (subscribers detached, pending delayed
+// resumes abandoned), checkpoint queue (drained before the store
+// closes), decision log, flight recorder, SLO ticker, store. It is safe
+// on a partly built daemon and idempotent; the error joins what the
+// decision log and the store reported on their final flush.
 func (d *Daemon) Close() error {
 	d.closeOnce.Do(func() {
 		if d.cluster != nil {
 			d.cluster.Stop()
+		}
+		if d.stack != nil {
+			d.stack.Close()
 		}
 		if d.persist != nil {
 			d.persist.Close()
@@ -341,9 +339,6 @@ func (d *Daemon) Close() error {
 		d.flight.Close()
 		close(d.stop)
 		d.ticker.Wait()
-		if d.unTap != nil {
-			d.unTap()
-		}
 		var storeErr error
 		if d.st != nil {
 			storeErr = d.st.Close()

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"github.com/masc-project/masc/internal/telemetry"
 	"github.com/masc-project/masc/internal/telemetry/decision"
 	"github.com/masc-project/masc/internal/telemetry/slo"
+	"github.com/masc-project/masc/internal/workflow"
 )
 
 const catalogSOAP = `<e:Envelope xmlns:e="http://schemas.xmlsoap.org/soap/envelope/"><e:Body><getCatalog xmlns="urn:wsi:scm"><category>tv</category></getCatalog></e:Body></e:Envelope>`
@@ -100,16 +102,100 @@ func hasTapNote(sv telemetry.SpanView) bool {
 	return false
 }
 
+// auditOrdersPolicy customizes every OrderingProcess instance when the
+// engine creates it (static customization, §2.1): it appends an
+// AuditOrder activity and moves the instance to the "audited" state.
+const auditOrdersPolicy = `
+<PolicyDocument xmlns="urn:masc:ws-policy4masc" name="ordering-audit">
+  <AdaptationPolicy name="audit-orders" subject="OrderingProcess" priority="5" kind="customization" layer="process">
+    <OnEvent type="process.started"/>
+    <StateAfter>audited</StateAfter>
+    <Actions>
+      <AddActivity position="atEnd">
+        <Activity><noop name="AuditOrder"/></Activity>
+      </AddActivity>
+    </Actions>
+  </AdaptationPolicy>
+</PolicyDocument>`
+
+// writePolicies writes a policy document to a fresh file for -policies.
+func writePolicies(t *testing.T, doc string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "policies.xml")
+	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// onlyInstance returns the ID of the node's one process instance.
+func (n *node) onlyInstance(t *testing.T) string {
+	t.Helper()
+	var list struct{ Instances []instanceSummary }
+	n.get(t, "/api/v1/instances", &list)
+	if len(list.Instances) != 1 {
+		t.Fatalf("instances = %+v, want exactly one", list.Instances)
+	}
+	return list.Instances[0].ID
+}
+
+// metricSum adds up the samples of a metric family on /api/v1/metrics
+// whose label set contains label.
+func (n *node) metricSum(t *testing.T, family, label string) float64 {
+	t.Helper()
+	hr, err := http.Get(n.srv.URL + "/api/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hr.Body.Close()
+	text, err := io.ReadAll(hr.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := 0.0
+	for _, line := range strings.Split(string(text), "\n") {
+		if !strings.HasPrefix(line, family+"{") || !strings.Contains(line, label) {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
+		if err != nil {
+			t.Fatalf("metric line %q: %v", line, err)
+		}
+		sum += v
+	}
+	return sum
+}
+
 // TestNewWiresTheAssemblyThatShips boots New with the flag set the
 // benchmark harness passes mascd — alone, then as one of a two-node
 // cluster at replication level 1 — and asserts the parts no hand-built
 // test daemon used to wire are live: the event-bus tap, the SLO
 // observer, the flight recorder, the durable decision log. It then
 // closes the daemon and builds another on the same data dir, which
-// only works if teardown released the store.
+// only works if teardown released the store, and checks that the
+// recovered instance kept the tree static customization gave it.
 func TestNewWiresTheAssemblyThatShips(t *testing.T) {
 	stock := func(t *testing.T) Config {
-		return Config{DataDir: t.TempDir(), Sync: "batched", PolicyDir: "../../policies"}
+		// The shipped bundle plus a process-layer customization.
+		dir := t.TempDir()
+		shipped, err := filepath.Glob("../../policies/*.xml")
+		if err != nil || len(shipped) == 0 {
+			t.Fatalf("shipped policies = %v err = %v", shipped, err)
+		}
+		files := map[string]string{"ordering-audit.xml": auditOrdersPolicy}
+		for _, path := range shipped {
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[filepath.Base(path)] = string(raw)
+		}
+		for name, text := range files {
+			if err := os.WriteFile(filepath.Join(dir, name), []byte(text), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return Config{DataDir: t.TempDir(), Sync: "batched", PolicyDir: dir}
 	}
 	t.Run("single node", func(t *testing.T) {
 		checkAssembly(t, newNode(t), stock(t))
@@ -179,7 +265,7 @@ func checkAssembly(t *testing.T, n *node, cfg Config) {
 	}
 
 	// An instance created but never run is what a restart must bring back.
-	parked, err := d.engine.CreateInstance("OrderingProcess", defaultProcessInputs())
+	parked, err := d.stack.Engine.CreateInstance("OrderingProcess", defaultProcessInputs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,6 +287,15 @@ func checkAssembly(t *testing.T, n *node, cfg Config) {
 	d2 := n.boot(t, cfg)
 	if got := d2.recoveredCount(); got != 1 || !d2.isRecovered(parked.ID()) {
 		t.Fatalf("recovered %d instances after restart, want the parked %s", got, parked.ID())
+	}
+	recovered, err := d2.stack.Engine.Instance(parked.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if state := recovered.AdaptationState(); state != "audited" ||
+		workflow.FindActivity(recovered.TreeCopy(), "AuditOrder") == nil {
+		t.Fatalf("recovered instance: adaptation state %q, AuditOrder present = %v; want the customized tree",
+			state, workflow.FindActivity(recovered.TreeCopy(), "AuditOrder") != nil)
 	}
 	if err := d2.Close(); err != nil {
 		t.Fatalf("Close after restart: %v", err)
@@ -253,10 +348,11 @@ func TestNewFailsCleanly(t *testing.T) {
 	}
 }
 
-// TestSuspendOnlyPolicyAnswersFault: mascd wires no process adapter,
-// so a policy whose only action is process-layer cannot handle a
-// fault at the gateway. The caller gets the backend's SOAP fault —
-// not an empty 202 — and the decision trail says the actions failed.
+// TestSuspendOnlyPolicyAnswersFault: a policy whose only action is
+// process-layer cannot handle a fault on a request that correlates to
+// no process instance — there is nothing to suspend. The caller gets
+// the backend's SOAP fault — not an empty 202 — and the decision trail
+// says the actions failed.
 func TestSuspendOnlyPolicyAnswersFault(t *testing.T) {
 	policies := filepath.Join(t.TempDir(), "suspend.xml")
 	if err := os.WriteFile(policies, []byte(`
@@ -270,7 +366,7 @@ func TestSuspendOnlyPolicyAnswersFault(t *testing.T) {
 	}
 	n := newNode(t)
 	d := n.boot(t, Config{Policies: policies})
-	v, err := d.gateway.VEP("Retailer")
+	v, err := d.stack.Bus.VEP("Retailer")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,6 +384,112 @@ func TestSuspendOnlyPolicyAnswersFault(t *testing.T) {
 	if page.Count != 1 || page.Records[0].Verdict != decision.VerdictError ||
 		page.Records[0].Outcome != "actions_failed" {
 		t.Fatalf("decision records = %+v", page.Records)
+	}
+}
+
+// TestProcessPolicyCustomizesOrderingProcess: a process-layer policy
+// loaded with -policies customizes the hosted OrderingProcess as the
+// engine creates it, and mascd counts the customization.
+func TestProcessPolicyCustomizesOrderingProcess(t *testing.T) {
+	n := newNode(t)
+	n.boot(t, Config{Policies: writePolicies(t, auditOrdersPolicy)})
+	if code, body := n.post(t, "/process/OrderingProcess"); code != http.StatusOK {
+		t.Fatalf("process exchange: status = %d body = %s", code, body)
+	}
+	var inst instanceSummary
+	n.get(t, "/api/v1/instances/"+n.onlyInstance(t), &inst)
+	if inst.AdaptationState != "audited" || inst.State != "completed" {
+		t.Fatalf("instance = %+v, want completed in adaptation state audited", inst)
+	}
+	if got := n.metricSum(t, "masc_customizations_total", `mode="static"`); got != 1 {
+		t.Fatalf(`masc_customizations_total{mode="static"} = %v, want 1`, got)
+	}
+}
+
+// TestProcessPolicyDecisionIsRecorded: a process-layer policy on
+// message.intercepted is matched by the decision maker when the
+// OrderingProcess's request passes the Retailer VEP, the decision
+// trail holds that match correlated to the instance, and mascd counts
+// the dynamic customization.
+func TestProcessPolicyDecisionIsRecorded(t *testing.T) {
+	n := newNode(t)
+	n.boot(t, Config{Policies: writePolicies(t, `
+<PolicyDocument xmlns="urn:masc:ws-policy4masc" name="ordering-observe">
+  <AdaptationPolicy name="observe-orders" subject="OrderingProcess" priority="5" kind="customization" layer="process">
+    <OnEvent type="message.intercepted"/>
+    <StateBefore></StateBefore>
+    <StateAfter>observed</StateAfter>
+    <Actions>
+      <AddActivity position="atEnd">
+        <Activity><noop name="Observed"/></Activity>
+      </AddActivity>
+    </Actions>
+  </AdaptationPolicy>
+</PolicyDocument>`)})
+	if code, body := n.post(t, "/process/OrderingProcess"); code != http.StatusOK {
+		t.Fatalf("process exchange: status = %d body = %s", code, body)
+	}
+	id := n.onlyInstance(t)
+	var page decision.Page
+	n.get(t, "/api/v1/decisions?policy=observe-orders&site=decision&verdict=matched", &page)
+	if page.Count != 1 || page.Records[0].Instance != id || page.Records[0].Conversation != id {
+		t.Fatalf("matched decision records = %+v, want one for instance %s", page.Records, id)
+	}
+	var inst instanceSummary
+	n.get(t, "/api/v1/instances/"+id, &inst)
+	if inst.AdaptationState != "observed" {
+		t.Fatalf("instance = %+v, want adaptation state observed", inst)
+	}
+	if got := n.metricSum(t, "masc_customizations_total", `mode="dynamic"`); got != 1 {
+		t.Fatalf(`masc_customizations_total{mode="dynamic"} = %v, want 1`, got)
+	}
+}
+
+// TestCloseAbandonsDelayedResume: Close does not sit out a pending
+// DelayProcess. The delayed instance stays suspended in its checkpoint,
+// and the next boot on the same data dir recovers it.
+func TestCloseAbandonsDelayedResume(t *testing.T) {
+	n := newNode(t)
+	cfg := Config{DataDir: t.TempDir(), Sync: "batched", Policies: writePolicies(t, `
+<PolicyDocument xmlns="urn:masc:ws-policy4masc" name="ordering-delay">
+  <AdaptationPolicy name="delay-orders" subject="OrderingProcess" priority="5" kind="customization" layer="process">
+    <OnEvent type="message.intercepted"/>
+    <StateBefore></StateBefore>
+    <StateAfter>delayed</StateAfter>
+    <Actions><DelayProcess duration="10m"/></Actions>
+  </AdaptationPolicy>
+</PolicyDocument>`)}
+	d := n.boot(t, cfg)
+	hr, err := http.Post(n.srv.URL+"/api/v1/instances", "application/json", strings.NewReader("{}"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var started instanceSummary
+	err = json.NewDecoder(hr.Body).Decode(&started)
+	hr.Body.Close()
+	if err != nil || hr.StatusCode != http.StatusAccepted {
+		t.Fatalf("start instance: status = %d err = %v", hr.StatusCode, err)
+	}
+	inst, err := d.stack.Engine.Instance(started.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !inst.AwaitState(workflow.StateSuspended, 10*time.Second) {
+		t.Fatalf("instance %s is %s, want suspended by DelayProcess", started.ID, inst.State())
+	}
+
+	done := make(chan error, 1)
+	go func() { done <- d.Close() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close waits out a pending DelayProcess")
+	}
+	if d2 := n.boot(t, cfg); !d2.isRecovered(started.ID) {
+		t.Fatalf("delayed instance %s not recovered after restart", started.ID)
 	}
 }
 

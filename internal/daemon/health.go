@@ -25,7 +25,7 @@ type vepLatency struct {
 func (d *Daemon) latencyQuantiles() []vepLatency {
 	hist := d.tel.Registry().Histogram("masc_vep_invocation_seconds", "", nil, "vep")
 	var out []vepLatency
-	for _, name := range d.gateway.VEPs() {
+	for _, name := range d.stack.Bus.VEPs() {
 		h := hist.With(name)
 		n := h.Count()
 		if n == 0 {
@@ -65,14 +65,14 @@ func (d *Daemon) healthz(w http.ResponseWriter, _ *http.Request) {
 		Status:             "ok",
 		Version:            version.Version,
 		UptimeSeconds:      time.Since(d.start).Seconds(),
-		VEPs:               d.gateway.VEPs(),
+		VEPs:               d.stack.Bus.VEPs(),
 		PolicyRevision:     compile.Lookup(d.repo).Manifest.Revision,
 		PolicyDocuments:    d.repo.Documents(),
 		MonitoringPolicies: mon,
 		AdaptationPolicies: adapt,
 		ProtectionPolicies: d.repo.ProtectionCount(),
 		InflightRequests:   d.inflightN.Load(),
-		Instances:          len(d.engine.Instances()),
+		Instances:          len(d.stack.Engine.Instances()),
 		Store:              d.storeStatus(),
 		Cluster:            d.clusterHealth(),
 		VEPLatency:         d.latencyQuantiles(),
@@ -106,11 +106,11 @@ type vepReadiness struct {
 // healthy, admitting backend and no SLO is burning its error budget;
 // 503 with the JSON reasons otherwise.
 func (d *Daemon) readyz(w http.ResponseWriter, _ *http.Request) {
-	tracker := d.gateway.Tracker()
+	tracker := d.stack.Bus.Tracker()
 	var reasons []string
 	var veps []vepReadiness
-	for _, name := range d.gateway.VEPs() {
-		vep, err := d.gateway.VEP(name)
+	for _, name := range d.stack.Bus.VEPs() {
+		vep, err := d.stack.Bus.VEP(name)
 		if err != nil {
 			continue
 		}

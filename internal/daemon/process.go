@@ -67,13 +67,13 @@ func (d *Daemon) setupWorkflow() error {
 	if err != nil {
 		return err
 	}
-	d.engine.Deploy(def)
+	d.stack.Engine.Deploy(def)
 	if d.st == nil {
 		return nil
 	}
 	d.persist = workflow.NewPersistenceServiceWith(d.st, d.tel, d.ckptOpts)
-	d.persist.Attach(d.engine)
-	rep, err := d.persist.Recover(d.engine)
+	d.persist.Attach(d.stack.Engine)
+	rep, err := d.persist.Recover(d.stack.Engine)
 	if err != nil {
 		return err
 	}
@@ -138,8 +138,8 @@ func (d *Daemon) instancesIndex(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
 		out := []instanceSummary{}
-		for _, id := range d.engine.Instances() {
-			inst, err := d.engine.Instance(id)
+		for _, id := range d.stack.Engine.Instances() {
+			inst, err := d.stack.Engine.Instance(id)
 			if err != nil {
 				continue
 			}
@@ -172,7 +172,7 @@ func (d *Daemon) instancesIndex(w http.ResponseWriter, r *http.Request) {
 			}
 			inputs[name] = el
 		}
-		inst, err := d.engine.Start(body.Definition, inputs)
+		inst, err := d.stack.Engine.Start(body.Definition, inputs)
 		if err != nil {
 			writeAPIError(w, http.StatusNotFound, err.Error())
 			return
@@ -193,7 +193,7 @@ func (d *Daemon) instancesIndex(w http.ResponseWriter, r *http.Request) {
 func (d *Daemon) instanceManage(w http.ResponseWriter, r *http.Request) {
 	rest := strings.TrimPrefix(r.URL.Path, apiPrefix+"/instances/")
 	id, verb, _ := strings.Cut(rest, "/")
-	inst, err := d.engine.Instance(id)
+	inst, err := d.stack.Engine.Instance(id)
 	if err != nil {
 		writeAPIError(w, http.StatusNotFound, err.Error())
 		return

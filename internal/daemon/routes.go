@@ -23,10 +23,10 @@ func (d *Daemon) routes(debug bool) *http.ServeMux {
 	// (before StripPrefix, so a proxied request keeps its full URL):
 	// exchanges whose conversation is owned by a peer are forwarded
 	// there transparently.
-	vep := http.Handler(http.StripPrefix("/vep/", d.track(vepHandler(d.gateway, d.tel))))
+	vep := http.Handler(http.StripPrefix("/vep/", d.track(vepHandler(d.stack.Bus, d.tel))))
 	// Hosted compositions: /process/<definition> starts one instance
 	// per SOAP request and answers with its output.
-	proc := http.Handler(http.StripPrefix("/process/", d.track(processHandler(d.engine))))
+	proc := http.Handler(http.StripPrefix("/process/", d.track(processHandler(d.stack.Engine))))
 	if d.cluster != nil {
 		vep = d.cluster.node.Forward(clusterKey, vep)
 		proc = d.cluster.node.Forward(clusterKey, proc)

@@ -9,7 +9,6 @@
 package event
 
 import (
-	"sort"
 	"sync"
 	"time"
 
@@ -123,6 +122,10 @@ type subscription struct {
 
 // Bus is a synchronous pub/sub dispatcher, safe for concurrent use.
 // The zero value is NOT usable; call NewBus.
+//
+// Subscriber lists are copy-on-write: Subscribe and unsubscribe install
+// a new slice and never edit one in place, so Publish can dispatch from
+// the slices it read under the lock without copying them.
 type Bus struct {
 	mu     sync.RWMutex
 	nextID int
@@ -141,18 +144,12 @@ func (b *Bus) Subscribe(t Type, h Handler) (unsubscribe func()) {
 	b.mu.Lock()
 	b.nextID++
 	id := b.nextID
-	b.byType[t] = append(b.byType[t], subscription{id: id, handler: h})
+	b.byType[t] = with(b.byType[t], subscription{id: id, handler: h})
 	b.mu.Unlock()
 	return func() {
 		b.mu.Lock()
-		defer b.mu.Unlock()
-		subs := b.byType[t]
-		for i, s := range subs {
-			if s.id == id {
-				b.byType[t] = append(subs[:i], subs[i+1:]...)
-				return
-			}
-		}
+		b.byType[t] = without(b.byType[t], id)
+		b.mu.Unlock()
 	}
 }
 
@@ -161,34 +158,51 @@ func (b *Bus) SubscribeAll(h Handler) (unsubscribe func()) {
 	b.mu.Lock()
 	b.nextID++
 	id := b.nextID
-	b.all = append(b.all, subscription{id: id, handler: h})
+	b.all = with(b.all, subscription{id: id, handler: h})
 	b.mu.Unlock()
 	return func() {
 		b.mu.Lock()
-		defer b.mu.Unlock()
-		for i, s := range b.all {
-			if s.id == id {
-				b.all = append(b.all[:i], b.all[i+1:]...)
-				return
-			}
-		}
+		b.all = without(b.all, id)
+		b.mu.Unlock()
 	}
 }
 
-// Publish delivers the event to type subscribers then all-subscribers,
-// in subscription order, synchronously. The subscriber list is
-// snapshotted before dispatch, so handlers may subscribe/unsubscribe
+// with returns a new list holding subs followed by s.
+func with(subs []subscription, s subscription) []subscription {
+	return append(subs[:len(subs):len(subs)], s)
+}
+
+// without returns a new list holding subs minus the subscription id,
+// or subs itself when id is not in it.
+func without(subs []subscription, id int) []subscription {
+	for i, s := range subs {
+		if s.id == id {
+			out := make([]subscription, 0, len(subs)-1)
+			out = append(out, subs[:i]...)
+			return append(out, subs[i+1:]...)
+		}
+	}
+	return subs
+}
+
+// Publish delivers the event to type subscribers and all-subscribers,
+// in subscription order, synchronously. It dispatches from the lists
+// as they were when it started, so handlers may subscribe/unsubscribe
 // during delivery without affecting the current dispatch.
 func (b *Bus) Publish(e Event) {
 	b.mu.RLock()
-	subs := make([]subscription, 0, len(b.byType[e.Type])+len(b.all))
-	subs = append(subs, b.byType[e.Type]...)
-	subs = append(subs, b.all...)
+	typed, all := b.byType[e.Type], b.all
 	b.mu.RUnlock()
 
-	sort.SliceStable(subs, func(i, j int) bool { return subs[i].id < subs[j].id })
-	for _, s := range subs {
-		s.handler(e)
+	// Both lists are in id order, which is subscription order: merge.
+	for len(typed) > 0 || len(all) > 0 {
+		if len(all) == 0 || (len(typed) > 0 && typed[0].id < all[0].id) {
+			typed[0].handler(e)
+			typed = typed[1:]
+		} else {
+			all[0].handler(e)
+			all = all[1:]
+		}
 	}
 }
 

@@ -141,6 +141,23 @@ func TestRecorder(t *testing.T) {
 	}
 }
 
+// TestPublishDoesNotAllocate: dispatch to a typed and an all-subscriber
+// reads the subscriber lists in place, so publishing costs nothing but
+// the handler calls.
+func TestPublishDoesNotAllocate(t *testing.T) {
+	b := NewBus()
+	n := 0
+	b.Subscribe(TypeMessageIntercepted, func(Event) { n++ })
+	b.SubscribeAll(func(Event) { n++ })
+	ev := Event{Type: TypeMessageIntercepted, Source: "monitor"}
+	if allocs := testing.AllocsPerRun(100, func() { b.Publish(ev) }); allocs != 0 {
+		t.Fatalf("Publish allocates %.1f times per call, want 0", allocs)
+	}
+	if n == 0 {
+		t.Fatal("no handler ran")
+	}
+}
+
 func TestEventsCopyIsolated(t *testing.T) {
 	b := NewBus()
 	var r Recorder

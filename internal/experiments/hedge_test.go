@@ -7,8 +7,11 @@ import (
 
 // TestHedgeComparisonShape asserts the hedging experiment's qualitative
 // result: with slow outliers injected, the hedged VEP launches hedges,
-// some of them win, and the client-observed p99 improves over the
-// unhedged baseline.
+// some of them win, and at most a quarter as many client replies are
+// served by a degraded attempt as without hedging. A 3 ms outlier
+// against a hedge trigger at the ~0.2 ms p95 leaves a wide margin, so
+// the count does not depend on how loaded the machine is; the p99s it
+// prints are a report, not an assertion.
 func TestHedgeComparisonShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full tail-latency run")
@@ -31,17 +34,13 @@ func TestHedgeComparisonShape(t *testing.T) {
 		t.Errorf("hedged mode launched = %d won = %d, want both > 0",
 			hedged.HedgesLaunched, hedged.HedgesWon)
 	}
-	if raceEnabled {
-		// The race detector multiplies the hedged mode's extra
-		// concurrency cost ~10x, drowning the tail-latency win; only
-		// the counters are meaningful there.
-		t.Logf("race build: skipping p99 comparison (hedged %v vs unhedged %v)",
-			hedged.P99, unhedged.P99)
-	} else if hedged.P99 >= unhedged.P99 {
-		t.Errorf("hedged p99 = %v, want below unhedged p99 = %v", hedged.P99, unhedged.P99)
+	if unhedged.Degraded == 0 || 4*hedged.Degraded > unhedged.Degraded {
+		t.Errorf("replies served by a degraded attempt: hedged %d, unhedged %d; want hedged ≤ ¼ × unhedged > 0",
+			hedged.Degraded, unhedged.Degraded)
 	}
 
 	out := FormatHedge(points)
+	t.Log("\n" + out)
 	for _, want := range []string{"unhedged", "hedged", "p99"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("FormatHedge output missing %q:\n%s", want, out)

@@ -134,17 +134,24 @@ func buildSCM(cfg Table1Config) (*scm.Deployment, error) {
 // catalogOp builds the getCatalog workload against an invoker.
 func catalogOp(invoker transport.Invoker, target string) loadgen.Op {
 	return func(ctx context.Context, client, seq int) error {
-		env := soap.NewRequest(scm.NewGetCatalogRequest("tv", 0))
-		soap.Addressing{To: target, Action: "getCatalog"}.Apply(env)
-		resp, err := invoker.Invoke(ctx, target, env)
-		if err != nil {
-			return err
-		}
-		if resp.IsFault() {
-			return resp.Fault
-		}
-		return nil
+		_, err := catalogCall(ctx, invoker, target)
+		return err
 	}
+}
+
+// catalogCall invokes getCatalog on target once; a SOAP fault reply is
+// an error.
+func catalogCall(ctx context.Context, invoker transport.Invoker, target string) (*soap.Envelope, error) {
+	env := soap.NewRequest(scm.NewGetCatalogRequest("tv", 0))
+	soap.Addressing{To: target, Action: "getCatalog"}.Apply(env)
+	resp, err := invoker.Invoke(ctx, target, env)
+	if err != nil {
+		return nil, err
+	}
+	if resp.IsFault() {
+		return nil, resp.Fault
+	}
+	return resp, nil
 }
 
 // RunTable1 reproduces Table 1: the getCatalog operation invoked

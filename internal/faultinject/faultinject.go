@@ -25,6 +25,10 @@ type Outcome struct {
 	// ExtraDelay is added to the service's processing time (QoS
 	// degradation).
 	ExtraDelay time.Duration
+	// Tag, when set, marks the reply of a perturbed invocation (the
+	// in-process network stamps it as a header block), so a client can
+	// count the replies an injector touched.
+	Tag string
 }
 
 // Injector decides, per invocation at a given instant, whether and how
@@ -183,7 +187,8 @@ func expDuration(rng *rand.Rand, mean time.Duration) time.Duration {
 }
 
 // Degradation occasionally adds latency to invocations: with
-// probability P, a delay uniform in [MinDelay, MaxDelay] is injected.
+// probability P, a delay uniform in [MinDelay, MaxDelay] is injected
+// and the reply is tagged "degraded".
 type Degradation struct {
 	mu       sync.Mutex
 	rng      *rand.Rand
@@ -219,7 +224,7 @@ func (d *Degradation) Decide(time.Time) Outcome {
 	if span > 0 {
 		extra += time.Duration(d.rng.Int63n(int64(span)))
 	}
-	return Outcome{ExtraDelay: extra}
+	return Outcome{ExtraDelay: extra, Tag: "degraded"}
 }
 
 // Composite applies several injectors: the invocation is unavailable if

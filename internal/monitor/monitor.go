@@ -610,6 +610,3 @@ func (m *Monitor) ObserveMessage(subject, operation string, env *soap.Envelope, 
 		Message:           env,
 	})
 }
-
-// duration formatting helper kept for diagnostics consistency.
-var _ = time.Duration(0)

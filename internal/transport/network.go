@@ -12,6 +12,7 @@ import (
 	"github.com/masc-project/masc/internal/faultinject"
 	"github.com/masc-project/masc/internal/simnet"
 	"github.com/masc-project/masc/internal/soap"
+	"github.com/masc-project/masc/internal/xmltree"
 )
 
 // Network is an in-process SOAP network: services register under
@@ -107,6 +108,10 @@ func (n *Network) Addresses() []string {
 
 var _ Invoker = (*Network)(nil)
 
+// InjectedHeader is the MASC header block local name carrying the
+// fault injector's tag (faultinject.Outcome.Tag) on a perturbed reply.
+const InjectedHeader = "Injected"
+
 // Invoke implements Invoker: it simulates the request transfer, the
 // provider-side processing (including injected degradation), and the
 // response transfer, honoring ctx cancellation between stages.
@@ -167,6 +172,9 @@ func (n *Network) Invoke(ctx context.Context, addr string, req *soap.Envelope) (
 	// past an expired deadline — the caller has already given up.
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrTimeout, err)
+	}
+	if resp != nil && injected.Tag != "" {
+		resp.SetHeader(xmltree.NewText(soap.NamespaceMASC, InjectedHeader, injected.Tag))
 	}
 
 	if resp != nil && ep.link != nil {
