@@ -90,6 +90,7 @@ type Daemon struct {
 	tel       *telemetry.Telemetry
 	start     time.Time
 	st        *store.Store
+	host      *workflow.ProcessHost // serves /process/OrderingProcess
 	persist   *workflow.PersistenceService
 	ckptOpts  workflow.PersistenceOptions
 	recovery  workflow.RecoveryReport

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"github.com/masc-project/masc/internal/cluster"
+	"github.com/masc-project/masc/internal/store"
 	"github.com/masc-project/masc/internal/telemetry"
 	"github.com/masc-project/masc/internal/telemetry/decision"
 	"github.com/masc-project/masc/internal/telemetry/slo"
@@ -558,5 +560,97 @@ func TestExchangeAllocCeilings(t *testing.T) {
 		} else {
 			t.Logf("%s exchange (%d bytes): %.0f allocations", c.name, len(c.body), n)
 		}
+	}
+}
+
+// TestProcessCostIndependentOfUptime serves 500 hosted OrderingProcess
+// requests through a durable daemon under the benchmark's policy
+// bundle and asserts, as counts, that a request costs the same late as
+// early: the bytes allocated per request over the last 50 are within
+// 10 % of the first 50, every instance's checkpoint record is the same
+// size, and each instance tracked exactly its own two events. When
+// getEvents answered with the whole log, every instance checkpointed
+// the history of all the orders before it and all three grew with
+// uptime.
+func TestProcessCostIndependentOfUptime(t *testing.T) {
+	cfg := Config{PolicyDir: "../../benchmark/policies", DataDir: t.TempDir(), Sync: "batched"}
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	d.Start()
+	h := d.Handler()
+
+	const ops, window = 500, 50
+	exchange := func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/process/OrderingProcess", strings.NewReader(catalogSOAP)))
+		if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "submitOrderResponse") {
+			t.Fatalf("process exchange: status %d: %s", rec.Code, rec.Body.String())
+		}
+	}
+	var ms runtime.MemStats
+	perOp := func(n int) float64 {
+		runtime.ReadMemStats(&ms)
+		start := ms.TotalAlloc
+		for i := 0; i < n; i++ {
+			exchange()
+		}
+		runtime.ReadMemStats(&ms)
+		return float64(ms.TotalAlloc-start) / float64(n)
+	}
+	early := perOp(window)
+	perOp(ops - 2*window)
+	late := perOp(window)
+	t.Logf("bytes allocated per request: ops 1–%d %.0f B, ops %d–%d %.0f B (%.2f×)",
+		window, early, ops-window+1, ops, late, late/early)
+	if late > 1.10*early {
+		t.Errorf("ops %d–%d allocate %.0f B per request, %.2f× the %.0f B of ops 1–%d; want ≤ 1.10×",
+			ops-window+1, ops, late, late/early, early, window)
+	}
+
+	ids := d.stack.Engine.Instances()
+	if len(ids) != ops {
+		t.Fatalf("engine holds %d instances, want %d", len(ids), ops)
+	}
+	for _, id := range ids {
+		inst, err := d.stack.Engine.Instance(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		events, ok := inst.GetVar("events")
+		if !ok {
+			t.Fatalf("instance %s has no events", id)
+		}
+		if n := len(events.ChildrenNamed("", "event")); n != 2 {
+			t.Fatalf("instance %s tracked %d events, want its own 2", id, n)
+		}
+	}
+
+	// Close drains the checkpoint queue; the reopened store holds each
+	// instance's final delta chain.
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(cfg.DataDir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	records := st.List(workflow.SpaceInstances)
+	if len(records) != ops {
+		t.Fatalf("store holds %d instance records, want %d", len(records), ops)
+	}
+	lo, hi := -1, 0
+	for _, v := range records {
+		if lo < 0 || len(v) < lo {
+			lo = len(v)
+		}
+		hi = max(hi, len(v))
+	}
+	t.Logf("instance records: %d–%d B", lo, hi)
+	if hi-lo > 16 {
+		t.Errorf("instance records span %d–%d B; want every one within 16 B of every other", lo, hi)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"sort"
 	"strings"
@@ -68,6 +69,13 @@ func (d *Daemon) setupWorkflow() error {
 		return err
 	}
 	d.stack.Engine.Deploy(def)
+	d.host = &workflow.ProcessHost{
+		Engine:     d.stack.Engine,
+		Definition: def.Name(),
+		InputVar:   "catalogReq",
+		Defaults:   defaultProcessInputs(),
+		OutputVar:  "confirmation",
+	}
 	if d.st == nil {
 		return nil
 	}
@@ -83,24 +91,17 @@ func (d *Daemon) setupWorkflow() error {
 	return nil
 }
 
-// processHandler serves SOAP posts at /process/<definition> through a
-// ProcessHost: the composition is the service implementation.
-func processHandler(e *workflow.Engine) http.Handler {
+// processHandler serves SOAP posts at /process/<definition> through the
+// daemon's one ProcessHost: the composition is the service
+// implementation.
+func processHandler(host *workflow.ProcessHost) http.Handler {
+	soapHandler := &transport.HTTPHandler{Service: host}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		name := strings.Trim(r.URL.Path, "/")
-		if _, err := e.Definition(name); err != nil {
+		if strings.Trim(r.URL.Path, "/") != host.Definition {
 			http.NotFound(w, r)
 			return
 		}
-		host := &workflow.ProcessHost{
-			Engine:     e,
-			Definition: name,
-			InputVar:   "catalogReq",
-			Defaults:   defaultProcessInputs(),
-			OutputVar:  "confirmation",
-		}
-		h := &transport.HTTPHandler{Service: host}
-		h.ServeHTTP(w, r)
+		soapHandler.ServeHTTP(w, r)
 	})
 }
 
@@ -162,7 +163,7 @@ func (d *Daemon) instancesIndex(w http.ResponseWriter, r *http.Request) {
 		if body.Definition == "" {
 			body.Definition = "OrderingProcess"
 		}
-		inputs := defaultProcessInputs()
+		inputs := maps.Clone(d.host.Defaults)
 		for name, text := range body.Inputs {
 			el, err := xmltree.ParseString(text)
 			if err != nil {

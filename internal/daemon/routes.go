@@ -26,7 +26,7 @@ func (d *Daemon) routes(debug bool) *http.ServeMux {
 	vep := http.Handler(http.StripPrefix("/vep/", d.track(vepHandler(d.stack.Bus, d.tel))))
 	// Hosted compositions: /process/<definition> starts one instance
 	// per SOAP request and answers with its output.
-	proc := http.Handler(http.StripPrefix("/process/", d.track(processHandler(d.stack.Engine))))
+	proc := http.Handler(http.StripPrefix("/process/", d.track(processHandler(d.host))))
 	if d.cluster != nil {
 		vep = d.cluster.node.Forward(clusterKey, vep)
 		proc = d.cluster.node.Forward(clusterKey, proc)

@@ -36,7 +36,10 @@ type HedgeConfig struct {
 	// outlier (default 0.05 — a 5% tail).
 	DegradeP float64
 	// DegradeMin/DegradeMax bound the injected outlier delay (defaults
-	// 3ms–6ms, an order of magnitude above the healthy RTT).
+	// 20ms–40ms). The band sits an order of magnitude above the healthy
+	// p95 even on a loaded machine, where that p95 reaches 3–5 ms: a
+	// lower band lets the p95 hedge trigger fire only after the
+	// degraded reply has already arrived.
 	DegradeMin, DegradeMax time.Duration
 }
 
@@ -57,10 +60,10 @@ func (c *HedgeConfig) fill() {
 		c.DegradeP = 0.05
 	}
 	if c.DegradeMin <= 0 {
-		c.DegradeMin = 3 * time.Millisecond
+		c.DegradeMin = 20 * time.Millisecond
 	}
 	if c.DegradeMax <= 0 {
-		c.DegradeMax = 6 * time.Millisecond
+		c.DegradeMax = 40 * time.Millisecond
 	}
 }
 

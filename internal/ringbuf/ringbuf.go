@@ -1,8 +1,8 @@
 // Package ringbuf is the one bounded history in the tree: a fixed-
 // capacity buffer that keeps the newest values and overwrites the
 // oldest. It is unlocked — every owner (journal, decision recorder,
-// tracer, checkpoint events, MonitoringStore, MessageLogger) guards it
-// with the mutex that also guards its sequence counters.
+// tracer, checkpoint events, MonitoringStore, MessageLogger, the SCM
+// logging facility) guards it with a mutex of its own.
 package ringbuf
 
 // Buffer holds the newest values pushed into it, up to its capacity,

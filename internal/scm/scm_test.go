@@ -297,3 +297,74 @@ func TestConcurrentOrdersConsistentStock(t *testing.T) {
 		t.Fatalf("stock conservation violated: 1000 + %d - %d != %d", restocked, shipped, remaining)
 	}
 }
+
+// logTo sends one logging operation straight to the facility, stamped
+// with a process instance when instance is not empty.
+func logTo(t *testing.T, l *LoggingFacility, instance, op, text string) *soap.Envelope {
+	t.Helper()
+	p := xmltree.New(Namespace, op)
+	if text != "" {
+		p.Append(xmltree.NewText(Namespace, "eventText", text))
+	}
+	env := soap.NewRequest(p)
+	if instance != "" {
+		soap.SetProcessInstanceID(env, instance)
+	}
+	resp, err := l.Serve(context.Background(), env)
+	if err != nil || resp.IsFault() {
+		t.Fatalf("%s: resp = %+v err = %v", op, resp, err)
+	}
+	return resp
+}
+
+func eventTexts(resp *soap.Envelope) []string {
+	var out []string
+	for _, e := range resp.Payload.ChildrenNamed("", "event") {
+		out = append(out, e.Text)
+	}
+	return out
+}
+
+// TestGetEventsScopedToCallingInstance: interleaved instances each
+// track only their own events; a caller without an instance ID gets
+// every retained event.
+func TestGetEventsScopedToCallingInstance(t *testing.T) {
+	l := &LoggingFacility{}
+	logTo(t, l, "proc-1", "logEvent", "a1")
+	logTo(t, l, "proc-2", "logEvent", "b1")
+	logTo(t, l, "", "logEvent", "anonymous")
+	logTo(t, l, "proc-1", "logEvent", "a2")
+	logTo(t, l, "proc-2", "logEvent", "b2")
+
+	for instance, want := range map[string][]string{
+		"proc-1": {"a1", "a2"},
+		"proc-2": {"b1", "b2"},
+		"proc-3": nil,
+		"":       {"a1", "b1", "anonymous", "a2", "b2"},
+	} {
+		got := eventTexts(logTo(t, l, instance, "getEvents", ""))
+		if strings.Join(got, ",") != strings.Join(want, ",") {
+			t.Errorf("getEvents for %q = %v, want %v", instance, got, want)
+		}
+	}
+}
+
+// TestLoggingFacilityIsBounded: the log keeps the newest logCapacity
+// events and drops the oldest first.
+func TestLoggingFacilityIsBounded(t *testing.T) {
+	l := &LoggingFacility{}
+	if got := l.Events(); got == nil || len(got) != 0 {
+		t.Fatalf("empty facility: Events() = %#v, want an empty slice", got)
+	}
+	for i := 0; i < logCapacity+10; i++ {
+		logTo(t, l, "proc-1", "logEvent", fmt.Sprintf("e%d", i))
+	}
+	events := l.Events()
+	if len(events) != logCapacity || events[0] != "e10" || events[len(events)-1] != fmt.Sprintf("e%d", logCapacity+9) {
+		t.Fatalf("Events() = %d entries from %q to %q, want %d from e10",
+			len(events), events[0], events[len(events)-1], logCapacity)
+	}
+	if n := len(eventTexts(logTo(t, l, "proc-1", "getEvents", ""))); n != logCapacity {
+		t.Fatalf("getEvents answered %d events, want %d", n, logCapacity)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"sync"
 
+	"github.com/masc-project/masc/internal/ringbuf"
 	"github.com/masc-project/masc/internal/soap"
 	"github.com/masc-project/masc/internal/transport"
 	"github.com/masc-project/masc/internal/xmltree"
@@ -14,10 +15,22 @@ import (
 // LoggingFacility is the SCM logging Web service: "each use case
 // includes a logging call to a Logging Service to monitor activities
 // of the services. A customer can track orders by using the getEvents
-// operation" (§3.2).
+// operation" (§3.2). The log is bounded (logCapacity, oldest dropped
+// first), and getEvents answers a process instance with only the
+// events logged under its ProcessInstanceID, so neither the log nor a
+// tracking answer grows with the number of orders served.
 type LoggingFacility struct {
 	mu     sync.Mutex
-	events []string
+	events *ringbuf.Buffer[loggedEvent] // created on first logEvent
+}
+
+// logCapacity is how many events the facility retains.
+const logCapacity = 4096
+
+// loggedEvent is one logEvent call: its text and the process instance
+// that caused it ("" when the request carried none).
+type loggedEvent struct {
+	instance, text string
 }
 
 var _ transport.Handler = (*LoggingFacility)(nil)
@@ -26,16 +39,26 @@ var _ transport.Handler = (*LoggingFacility)(nil)
 func (l *LoggingFacility) Serve(_ context.Context, req *soap.Envelope) (*soap.Envelope, error) {
 	switch req.PayloadName().Local {
 	case "logEvent":
-		text := req.Payload.ChildText("", "eventText")
+		ev := loggedEvent{instance: soap.ProcessInstanceID(req), text: req.Payload.ChildText("", "eventText")}
 		l.mu.Lock()
-		l.events = append(l.events, text)
+		if l.events == nil {
+			l.events = ringbuf.New[loggedEvent](logCapacity)
+		}
+		l.events.Push(ev)
 		l.mu.Unlock()
 		return soap.NewRequest(xmltree.New(Namespace, "logEventResponse")), nil
 	case "getEvents":
+		// A caller without an instance ID tracks everything retained.
+		instance := soap.ProcessInstanceID(req)
 		resp := xmltree.New(Namespace, "getEventsResponse")
 		l.mu.Lock()
-		for _, e := range l.events {
-			resp.Append(xmltree.NewText(Namespace, "event", e))
+		if l.events != nil {
+			l.events.Do(func(e *loggedEvent) bool {
+				if instance == "" || e.instance == instance {
+					resp.Append(xmltree.NewText(Namespace, "event", e.text))
+				}
+				return true
+			})
 		}
 		l.mu.Unlock()
 		return soap.NewRequest(resp), nil
@@ -44,12 +67,17 @@ func (l *LoggingFacility) Serve(_ context.Context, req *soap.Envelope) (*soap.En
 	}
 }
 
-// Events returns the logged event texts.
+// Events returns the retained event texts, oldest first.
 func (l *LoggingFacility) Events() []string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]string, len(l.events))
-	copy(out, l.events)
+	out := []string{}
+	if l.events != nil {
+		l.events.Do(func(e *loggedEvent) bool {
+			out = append(out, e.text)
+			return true
+		})
+	}
 	return out
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -48,6 +49,118 @@ func TestAppendAccumulatesAndRecovers(t *testing.T) {
 	if got, ok := r2.Get("sp", "k"); !ok || !bytes.Equal(got, want) {
 		t.Fatalf("post-snapshot recovered value = %q, want %q", got, want)
 	}
+}
+
+// TestAppendLeavesCallerBufferAlone: a Put value with spare capacity
+// is the caller's buffer; a later Append must reallocate rather than
+// write past the value's length into it.
+func TestAppendLeavesCallerBufferAlone(t *testing.T) {
+	s := mustOpen(t, t.TempDir(), Options{Sync: SyncNever})
+	defer s.Close()
+	buf := bytes.Repeat([]byte("."), 64)
+	copy(buf, "base|")
+	orig := bytes.Clone(buf)
+	if err := s.Put("sp", "k", buf[:5]); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append("sp", "k", []byte("more|")); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf, orig) {
+		t.Fatalf("caller buffer = %q after Append, want %q", buf, orig)
+	}
+	if got, _ := s.Get("sp", "k"); string(got) != "base|more|" {
+		t.Fatalf("value = %q, want \"base|more|\"", got)
+	}
+}
+
+// TestGetUnaffectedByLaterAppend: a Get result is the caller's copy,
+// even while the stored chain grows in place behind it.
+func TestGetUnaffectedByLaterAppend(t *testing.T) {
+	s := mustOpen(t, t.TempDir(), Options{Sync: SyncNever})
+	defer s.Close()
+	for i := 0; i < 4; i++ {
+		if err := s.Append("sp", "k", []byte(fmt.Sprintf("d%d|", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, _ := s.Get("sp", "k")
+	held := bytes.Clone(got)
+	for i := 4; i < 8; i++ {
+		if err := s.Append("sp", "k", []byte(fmt.Sprintf("d%d|", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(got, held) {
+		t.Fatalf("Get result changed to %q after Append, want %q", got, held)
+	}
+	if all := s.List("sp")["k"]; string(all) != "d0|d1|d2|d3|d4|d5|d6|d7|" {
+		t.Fatalf("List value = %q", all)
+	}
+}
+
+// TestReopenRecoversInterleavedAppendChains replays two keys' put + 32
+// appends, interleaved record by record, and must rebuild both chains
+// byte for byte: growing one replayed value in place must never reach
+// into bytes of the record after it.
+func TestReopenRecoversInterleavedAppendChains(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Options{Sync: SyncNever, SnapshotEvery: -1})
+	want := map[string][]byte{}
+	for _, k := range []string{"a", "b"} {
+		want[k] = []byte("anchor-" + k + "|")
+		if err := s.Put("sp", k, want[k]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 32; i++ {
+		for _, k := range []string{"a", "b"} {
+			delta := []byte(fmt.Sprintf("%s%02d|", k, i))
+			want[k] = append(bytes.Clone(want[k]), delta...)
+			if err := s.Append("sp", k, delta); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := mustOpen(t, dir, Options{})
+	defer r.Close()
+	for k, v := range want {
+		if got, _ := r.Get("sp", k); !bytes.Equal(got, v) {
+			t.Fatalf("recovered %s = %q, want %q", k, got, v)
+		}
+	}
+}
+
+// TestAppendChainCostIsLinear bounds, as a count of bytes, what growing
+// one key by 32 appends of 64 B allocates: a chain grown in place
+// allocates a small multiple of its final size, where copying it whole
+// on every append allocates ~17× (quadratic in the chain length).
+func TestAppendChainCostIsLinear(t *testing.T) {
+	s := mustOpen(t, t.TempDir(), Options{Sync: SyncNever, SnapshotEvery: -1})
+	defer s.Close()
+	delta := bytes.Repeat([]byte("d"), 64)
+	// Size the store's record buffer first, outside the measurement.
+	if err := s.Append("sp", "warm", delta); err != nil {
+		t.Fatal(err)
+	}
+	const appends = 32
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < appends; i++ {
+		if err := s.Append("sp", "k", delta); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	final := appends * len(delta)
+	got := after.TotalAlloc - before.TotalAlloc
+	if got > uint64(4*final) {
+		t.Fatalf("%d appends of %d B allocated %d B, want ≤ 4 × the final %d B", appends, len(delta), got, final)
+	}
+	t.Logf("%d appends of %d B allocated %d B (final value %d B)", appends, len(delta), got, final)
 }
 
 func TestAppendToAbsentKeyCreatesIt(t *testing.T) {

@@ -210,18 +210,21 @@ func applyRecord(state map[string]map[string][]byte, rec record) {
 			sp = make(map[string][]byte)
 			state[rec.space] = sp
 		}
-		sp[rec.key] = rec.value
+		// Cap at the length: a Put value is the caller's buffer, and the
+		// first append to it must reallocate rather than write past its
+		// length into bytes the caller owns.
+		n := len(rec.value)
+		sp[rec.key] = rec.value[:n:n]
 	case opAppend:
 		sp := state[rec.space]
 		if sp == nil {
 			sp = make(map[string][]byte)
 			state[rec.space] = sp
 		}
-		// Reallocate rather than append in place: the old slice may be
-		// aliased by a caller of Get/List or by the snapshot writer.
-		old := sp[rec.key]
-		buf := make([]byte, 0, len(old)+len(rec.value))
-		sp[rec.key] = append(append(buf, old...), rec.value...)
+		// Grow the chain in place, amortized: nothing outside the store
+		// sees its spare capacity, because Get and List copy and the
+		// snapshot writer reads under the store mutex.
+		sp[rec.key] = append(sp[rec.key], rec.value...)
 	case opDelete:
 		if sp := state[rec.space]; sp != nil {
 			delete(sp, rec.key)

@@ -26,7 +26,8 @@ type ProcessHost struct {
 	InputVar string
 	// Defaults seeds additional variables before InputVar is bound —
 	// for processes whose later activities need inputs the initiating
-	// request does not carry.
+	// request does not carry. One map serves every request unmodified:
+	// the engine copies each input into the instance it starts.
 	Defaults map[string]*xmltree.Element
 	// OutputVar supplies the response payload; empty returns an
 	// acknowledgement element instead.
@@ -42,9 +43,9 @@ func (h *ProcessHost) Serve(ctx context.Context, req *soap.Envelope) (*soap.Enve
 	if req.Payload == nil {
 		return soap.NewFaultEnvelope(soap.FaultClient, "process host: empty request"), nil
 	}
-	inputs := map[string]*xmltree.Element{}
+	inputs := make(map[string]*xmltree.Element, len(h.Defaults)+1)
 	for name, val := range h.Defaults {
-		inputs[name] = val.Copy()
+		inputs[name] = val
 	}
 	if h.InputVar != "" {
 		inputs[h.InputVar] = req.Payload

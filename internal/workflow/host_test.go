@@ -3,6 +3,7 @@ package workflow
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -57,6 +58,52 @@ func TestProcessHostServesComposition(t *testing.T) {
 	// The response correlates to the instance that served it.
 	if soap.ProcessInstanceID(resp) == "" {
 		t.Fatal("response lacks instance correlation")
+	}
+}
+
+// TestProcessHostSharesDefaults: concurrent requests read one Defaults
+// map; every instance gets its own copy, and the shared trees are never
+// modified.
+func TestProcessHostSharesDefaults(t *testing.T) {
+	e, _ := hostFixture(t)
+	order := xmltree.MustParseString(`<placeOrder xmlns="urn:t"><Amount>7</Amount></placeOrder>`)
+	before, err := xmltree.MarshalString(order)
+	if err != nil {
+		t.Fatal(err)
+	}
+	host := &ProcessHost{
+		Engine: e, Definition: "HostedOrder", OutputVar: "result",
+		Defaults: map[string]*xmltree.Element{"order": order},
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < 8; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				req := soap.NewRequest(xmltree.New("urn:t", "start"))
+				resp, err := host.Serve(context.Background(), req)
+				if err != nil || resp.IsFault() || resp.Payload.ChildText("", "approved") != "7" {
+					t.Errorf("serve: resp = %+v err = %v", resp, err)
+					return
+				}
+				inst, err := e.Instance(soap.ProcessInstanceID(resp))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				inst.mu.Lock()
+				shared := inst.vars["order"] == order
+				inst.mu.Unlock()
+				if shared {
+					t.Errorf("instance %s holds the shared default tree", inst.ID())
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if after, _ := xmltree.MarshalString(order); after != before {
+		t.Fatalf("default input changed from %s to %s", before, after)
 	}
 }
 
