@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/masc-project/masc/internal/event"
+	"github.com/masc-project/masc/internal/monitor"
 	"github.com/masc-project/masc/internal/policy"
 	"github.com/masc-project/masc/internal/soap"
 	"github.com/masc-project/masc/internal/transport"
@@ -599,6 +600,28 @@ func TestMonitoringPreConditionBlocksRequest(t *testing.T) {
 	}
 	if svc.count() != 0 {
 		t.Fatal("service reached despite pre-condition violation")
+	}
+}
+
+// TestExchangeStoresEachMessageOnce: one exchange through a VEP whose
+// monitoring policy checks both directions adds exactly the request and
+// the response to the instance's MonitoringStore history, so
+// $instanceMessageCount counts messages, not monitor calls.
+func TestExchangeStoresEachMessageOnce(t *testing.T) {
+	xml := `
+<PolicyDocument xmlns="urn:masc:ws-policy4masc" name="p">
+  <MonitoringPolicy name="both-ways" subject="vep:Retailer" operation="getCatalog">
+    <PreCondition name="has-category">//getCatalog/category != ''</PreCondition>
+    <PostCondition name="answered">count(//getCatalogResponse) = 1</PostCondition>
+  </MonitoringPolicy>
+</PolicyDocument>`
+	b, v, _ := testBus(t, xml, map[string]*scriptedService{"inproc://a": {}}, VEPConfig{})
+	if _, err := v.Invoke(context.Background(), "", catalogReq(t)); err != nil {
+		t.Fatal(err)
+	}
+	stored := b.Monitor().Store().Query(monitor.Filter{InstanceID: "proc-1"})
+	if len(stored) != 2 || stored[0].Direction != wsdl.Request || stored[1].Direction != wsdl.Response {
+		t.Fatalf("stored %d messages for the exchange, want its request and its response: %+v", len(stored), stored)
 	}
 }
 

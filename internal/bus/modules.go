@@ -332,7 +332,7 @@ func (r *XPathRule) Applies(env *soap.Envelope) (bool, error) {
 	if env == nil {
 		return false, nil
 	}
-	return r.Expr.EvalBool(env.ToXML(), xpath.Context{})
+	return r.Expr.EvalBool(env.View(), xpath.Context{})
 }
 
 // RegexRule matches when a regular expression matches the serialized

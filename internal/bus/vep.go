@@ -645,7 +645,7 @@ func (v *VEP) policyApplies(pol *compile.CompiledAdaptation, req *soap.Envelope,
 		}
 	}
 	return pol.Applies(state, haveState, func() (*xmltree.Element, xpath.Context) {
-		return req.ToXML(), xpath.Context{Vars: map[string]xpath.Value{
+		return req.View(), xpath.Context{Vars: map[string]xpath.Value{
 			"faultType":  xpath.String(faultType),
 			"target":     xpath.String(target),
 			"operation":  xpath.String(op),

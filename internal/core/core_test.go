@@ -801,7 +801,7 @@ func TestCrossLayerResumeAfterRecovery(t *testing.T) {
 
 func TestHistoryConditionGatesDynamicCustomization(t *testing.T) {
 	// A customization that must only fire once an instance has
-	// exchanged at least 2 messages ($instanceMessageCount): the
+	// exchanged at least 3 messages ($instanceMessageCount): the
 	// paper's multi-message pre-condition.
 	s, f := tradingStack(t, `
 <PolicyDocument xmlns="urn:masc:ws-policy4masc" name="hist">

@@ -208,7 +208,7 @@ func (d *DecisionMaker) policyApplies(pol *compile.CompiledAdaptation, inst *wor
 		// message (the paper's "introspecting exchanged SOAP messages");
 		// otherwise against the instance's variables.
 		if ev.Message != nil {
-			return ev.Message.ToXML(), env
+			return ev.Message.View(), env
 		}
 		return inst.VarsDoc(), env
 	})

@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -560,6 +561,55 @@ func TestExchangeAllocCeilings(t *testing.T) {
 		} else {
 			t.Logf("%s exchange (%d bytes): %.0f allocations", c.name, len(c.body), n)
 		}
+	}
+}
+
+// TestOrderExchangeBytes holds one /vep/Retailer exchange of a
+// submitOrder of vep_large's shape (one item, 700 notes lines, 23 KB),
+// which the benchmark's order-body policy walks, to a bound on the
+// bytes it allocates, read from TotalAlloc. With the assertions on a
+// deep copy of the message, the MonitoringStore cloning it twice and
+// every // step listing all 1 400 elements it read ~776 KB; reading
+// the message in place and streaming the steps leaves ~313 KB.
+func TestOrderExchangeBytes(t *testing.T) {
+	d, err := New(Config{PolicyDir: "../../benchmark/policies", DataDir: t.TempDir(), Sync: "batched"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	d.Start()
+	h := d.Handler()
+
+	var b strings.Builder
+	b.WriteString(`<soapenv:Envelope xmlns:soapenv="http://schemas.xmlsoap.org/soap/envelope/"><soapenv:Header><m:ConversationID xmlns:m="urn:masc:headers">conv-7-0000042</m:ConversationID></soapenv:Header><soapenv:Body>`)
+	b.WriteString(`<submitOrder xmlns="urn:wsi:scm"><customerID>cust-7-00042</customerID><items><item><sku>605001</sku><qty>1</qty></item></items><notes>`)
+	for i := 0; i < 700; i++ {
+		fmt.Fprintf(&b, "<line>fragile pallet %04d</line>", i)
+	}
+	b.WriteString(`</notes></submitOrder></soapenv:Body></soapenv:Envelope>`)
+	body := b.String()
+
+	exchange := func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/vep/Retailer", strings.NewReader(body)))
+		if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "submitOrderResponse") {
+			t.Fatalf("order exchange: status %d: %s", rec.Code, rec.Body.String())
+		}
+	}
+	exchange() // first use of the VEP
+	const ops, ceiling = 50, 400 << 10
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	start := ms.TotalAlloc
+	for i := 0; i < ops; i++ {
+		exchange()
+	}
+	runtime.ReadMemStats(&ms)
+	perOp := float64(ms.TotalAlloc-start) / ops
+	if perOp > ceiling {
+		t.Errorf("%d B submitOrder exchange: %.0f B allocated, ceiling %d B", len(body), perOp, ceiling)
+	} else {
+		t.Logf("%d B submitOrder exchange: %.0f B allocated", len(body), perOp)
 	}
 }
 

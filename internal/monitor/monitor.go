@@ -180,20 +180,9 @@ func (m *Monitor) CheckResponse(subject, operation string, env *soap.Envelope, c
 }
 
 func (m *Monitor) checkMessage(subject, operation string, env *soap.Envelope, contract *wsdl.Contract, dir wsdl.Direction) *Violation {
-	if m.store != nil && env != nil {
-		m.store.Record(StoredMessage{
-			Time:       m.clk.Now(),
-			InstanceID: soap.ProcessInstanceID(env),
-			Subject:    subject,
-			Operation:  operation,
-			Direction:  dir,
-			Envelope:   env.Clone(),
-		})
-	}
-
-	// The document the assertions are evaluated on is a deep copy of
-	// the message, so it is built for the first assertion that runs: a
-	// message no policy looks into is not copied.
+	// The assertions read the message where it is, through a view
+	// built for the first assertion that runs. The message is stored
+	// by ObserveMessage, at interception, not here.
 	var root *xmltree.Element
 	record := m.decisions != nil
 	for _, mp := range compile.MonitoringsFor(m.repo, subject, operation) {
@@ -226,7 +215,7 @@ func (m *Monitor) checkMessage(subject, operation string, env *soap.Envelope, co
 		}
 		for i, a := range assertions {
 			if root == nil {
-				root = env.ToXML()
+				root = env.View()
 			}
 			ok, err := a.EvalBool(root, m.xpathEnv(env))
 			if err != nil || !ok {

@@ -277,12 +277,15 @@ func TestHistoryVariableInAssertions(t *testing.T) {
 	}
 	m := New(repo, WithStore(NewStore(10)))
 	env := reqEnv(t, `<op/>`)
-	// Each CheckRequest stores the message first, so counts include it.
+	// As at a VEP: ObserveMessage stores the message, then CheckRequest
+	// evaluates, so counts include it.
 	for i := 0; i < 3; i++ {
+		m.ObserveMessage("S", "op", env, wsdl.Request)
 		if v := m.CheckRequest("S", "op", env, nil); v != nil {
 			t.Fatalf("message %d violated: %v", i+1, v)
 		}
 	}
+	m.ObserveMessage("S", "op", env, wsdl.Request)
 	if v := m.CheckRequest("S", "op", env, nil); v == nil {
 		t.Fatal("fourth message accepted despite history limit")
 	}

@@ -40,7 +40,10 @@ func NewStore(limit int) *Store {
 	return &Store{messages: ringbuf.New[StoredMessage](limit)}
 }
 
-// Record appends a message, evicting the oldest beyond the limit.
+// Record appends a message, evicting the oldest beyond the limit. The
+// store keeps m.Envelope as it is and reads it without a lock, so the
+// caller gives it up: nothing may change it afterwards (ObserveMessage
+// records a clone of the live message).
 func (s *Store) Record(m StoredMessage) {
 	s.mu.Lock()
 	s.messages.Push(m)
@@ -109,11 +112,16 @@ func (s *Store) Query(f Filter) []StoredMessage {
 // message matching the filter and returns how many satisfy it. This is
 // the multi-message pre-condition primitive: e.g. "the instance has
 // already seen two orders over $threshold".
+//
+// A stored envelope is a copy nobody changes, so the expression reads
+// each one in place, through a view, outside the lock.
 func (s *Store) CountMatching(f Filter, expr *xpath.Compiled) (int, error) {
-	msgs := s.Query(f)
+	s.mu.Lock()
+	msgs := s.messages.Select(f.matches, 0)
+	s.mu.Unlock()
 	n := 0
 	for _, m := range msgs {
-		ok, err := expr.EvalBool(m.Envelope.ToXML(), xpath.Context{})
+		ok, err := expr.EvalBool(m.Envelope.View(), xpath.Context{})
 		if err != nil {
 			return n, err
 		}

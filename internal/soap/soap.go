@@ -157,21 +157,39 @@ func (e *Envelope) PayloadName() xmltree.Name {
 }
 
 // ToXML converts the envelope to an xmltree document. The document is
-// a deep copy: it can be kept and changed apart from the envelope.
+// a deep copy: it can be kept and changed apart from the envelope. It is
+// for callers that keep the document; one that only reads it uses View.
 func (e *Envelope) ToXML() *xmltree.Element {
 	return e.document(true)
 }
 
+// View lays the envelope out as a SOAP 1.1 document without copying
+// it: a fresh Envelope/Header/Body/Fault shell whose children are the
+// envelope's own header blocks, payload and fault detail. The blocks
+// are not reparented, so the view writes nothing into the envelope and
+// any number of goroutines may read one view, or views of one envelope,
+// at once. XPath evaluation finds a block's parent from the shell and
+// reads a view as it reads ToXML's copy. The view shares the envelope's
+// trees: it is for reading while the envelope is left as it is, not for
+// keeping or changing.
+func (e *Envelope) View() *xmltree.Element {
+	return e.document(false)
+}
+
 // document lays the envelope out as a SOAP 1.1 document. With own set
 // the document holds copies of the header blocks, payload and fault
-// detail; otherwise it refers to the envelope's own trees, which keep
-// their parents — enough for serializing, wrong for anything that
-// climbs from a node to the root.
+// detail; otherwise it refers to the envelope's own trees, leaving
+// their parent links nil. A block that has a parent elsewhere is
+// copied even then, so that every block of a view hangs from the shell
+// alone.
 func (e *Envelope) document(own bool) *xmltree.Element {
 	attach := func(parent, block *xmltree.Element) {
-		if own {
+		switch {
+		case own:
 			parent.Append(block.Copy())
-		} else {
+		case block.Parent() != nil:
+			parent.Children = append(parent.Children, block.Copy())
+		default:
 			parent.Children = append(parent.Children, block)
 		}
 	}
@@ -211,7 +229,7 @@ func (e *Envelope) document(own bool) *xmltree.Element {
 // Encode serializes the envelope to XML text. Nothing is copied: the
 // envelope's own trees are written from where they are.
 func (e *Envelope) Encode() (string, error) {
-	return xmltree.MarshalString(e.document(false))
+	return xmltree.MarshalString(e.View())
 }
 
 // MustEncode serializes the envelope, panicking on writer errors (which

@@ -333,20 +333,49 @@ func descendantOrSelf(n Node) NodeSet {
 	return out
 }
 
+// parentOf returns the parent of e in the document under evaluation.
+// A view (soap.Envelope.View) hangs trees it does not own from a shell
+// of its own without reparenting them, so such a block has no parent
+// link; its parent is the shell element that lists it as a child. The
+// search for it descends only over links that point back, which in a
+// view is the shell alone: a handful of elements.
+func (ev *evaluator) parentOf(e *xmltree.Element) *xmltree.Element {
+	if p := e.Parent(); p != nil || e == ev.root || e == ev.doc {
+		return p
+	}
+	return graftParent(ev.root, e)
+}
+
+// graftParent returns the element under p, p included, whose children
+// list e, descending only into children whose parent link is set.
+func graftParent(p, e *xmltree.Element) *xmltree.Element {
+	for _, c := range p.Children {
+		if c == e {
+			return p
+		}
+	}
+	for _, c := range p.Children {
+		if c.Parent() == p {
+			if q := graftParent(c, e); q != nil {
+				return q
+			}
+		}
+	}
+	return nil
+}
+
 // axisNodes enumerates the raw candidate nodes of one axis from a base
-// node, before any node test is applied. Shared by the tree-walking
-// evaluator and the compiled Program path.
-func axisNodes(base Node, axis axisKind) (NodeSet, error) {
+// node, before any node test is applied.
+func (ev *evaluator) axisNodes(base Node, axis axisKind) (NodeSet, error) {
 	var raw NodeSet
 	switch axis {
 	case axisSelf:
 		raw = NodeSet{base}
 	case axisParent:
-		switch {
-		case base.IsAttr():
+		if base.IsAttr() {
 			raw = NodeSet{{El: base.El}}
-		case base.El.Parent() != nil:
-			raw = NodeSet{{El: base.El.Parent()}}
+		} else if p := ev.parentOf(base.El); p != nil {
+			raw = NodeSet{{El: p}}
 		}
 	case axisChild:
 		if !base.IsAttr() {
@@ -378,7 +407,7 @@ func axisNodes(base Node, axis axisKind) (NodeSet, error) {
 }
 
 func (ev *evaluator) axisCandidates(base Node, st step) (NodeSet, error) {
-	raw, err := axisNodes(base, st.axis)
+	raw, err := ev.axisNodes(base, st.axis)
 	if err != nil {
 		return nil, err
 	}

@@ -325,8 +325,12 @@ type matchFn func(ev *evaluator, n Node) (bool, error)
 type loweredStep struct {
 	axis           axisKind
 	fromDescendant bool
-	match          matchFn
-	preds          []progFn
+	// overlaps is set for a // step on the parent, descendant or
+	// descendant-or-self axis: the axes of its bases then share nodes,
+	// so one node can be reached twice.
+	overlaps bool
+	match    matchFn
+	preds    []progFn
 }
 
 func lowerPath(x pathExpr) progFn {
@@ -375,9 +379,11 @@ func lowerStep(st step) loweredStep {
 	if st.test.nodeType == "text" {
 		axis = axisSelf
 	}
+	overlapping := axis == axisParent || axis == axisDescendant || axis == axisDescendantOrSelf
 	return loweredStep{
 		axis:           axis,
 		fromDescendant: st.fromDescendant,
+		overlaps:       st.fromDescendant && overlapping,
 		match:          lowerTest(axis, st.test),
 		preds:          lowerPreds(st.preds),
 	}
@@ -443,45 +449,162 @@ func lowerTest(axis axisKind, t nodeTest) matchFn {
 	}
 }
 
+// applyLoweredStep runs one step over its input. It walks each axis in
+// place and appends what passes the test straight to the result; only
+// a step with predicates gathers one base's matches first, because
+// proximity positions count within a base. Duplicates are checked for
+// only where they can arise: from several input nodes, or when a //
+// prefix feeds an axis on which neighbouring bases overlap.
 func applyLoweredStep(ev *evaluator, input NodeSet, st *loweredStep) (NodeSet, error) {
-	var out NodeSet
-	seen := map[Node]bool{}
+	s := stepper{ev: ev, st: st}
+	if len(input) > 1 || st.overlaps {
+		s.seen = map[Node]bool{}
+	}
 	for _, ctxNode := range input {
-		bases := NodeSet{ctxNode}
-		if st.fromDescendant {
-			bases = descendantOrSelf(ctxNode)
+		var err error
+		if st.fromDescendant && !ctxNode.IsAttr() {
+			err = s.fromSubtree(ctxNode.El)
+		} else {
+			err = s.from(ctxNode)
 		}
-		for _, base := range bases {
-			raw, err := axisNodes(base, st.axis)
-			if err != nil {
-				return nil, err
-			}
-			cands := raw[:0]
-			for _, n := range raw {
-				ok, err := st.match(ev, n)
-				if err != nil {
-					return nil, err
-				}
-				if ok {
-					cands = append(cands, n)
-				}
-			}
-			// Predicates apply per context node with proximity positions.
-			for _, pred := range st.preds {
-				cands, err = applyPredicateProg(ev, cands, pred)
-				if err != nil {
-					return nil, err
-				}
-			}
-			for _, n := range cands {
-				if !seen[n] {
-					seen[n] = true
-					out = append(out, n)
-				}
-			}
+		if err != nil {
+			return nil, err
 		}
 	}
-	return out, nil
+	return s.out, nil
+}
+
+// stepper is the state of one applyLoweredStep.
+type stepper struct {
+	ev    *evaluator
+	st    *loweredStep
+	out   NodeSet
+	cands NodeSet       // one base's matches, for a step with predicates
+	seen  map[Node]bool // nil where the step cannot select a node twice
+}
+
+// fromSubtree runs the step from e and from each of its descendants,
+// in document order: the bases of a // step.
+func (s *stepper) fromSubtree(e *xmltree.Element) error {
+	if err := s.from(Node{El: e}); err != nil {
+		return err
+	}
+	for _, c := range e.Children {
+		if err := s.fromSubtree(c); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// from runs the step from one base node.
+func (s *stepper) from(base Node) error {
+	if s.st.preds == nil {
+		return s.axis(base)
+	}
+	s.cands = s.cands[:0]
+	if err := s.axis(base); err != nil {
+		return err
+	}
+	cands := s.cands
+	for _, pred := range s.st.preds {
+		var err error
+		if cands, err = applyPredicateProg(s.ev, cands, pred); err != nil {
+			return err
+		}
+	}
+	for _, n := range cands {
+		s.emit(n)
+	}
+	return nil
+}
+
+// axis enumerates the step's axis from base, in document order, and
+// hands each node to take.
+func (s *stepper) axis(base Node) error {
+	switch s.st.axis {
+	case axisSelf:
+		return s.take(base)
+	case axisParent:
+		if base.IsAttr() {
+			return s.take(Node{El: base.El})
+		}
+		if p := s.ev.parentOf(base.El); p != nil {
+			return s.take(Node{El: p})
+		}
+	case axisChild:
+		if !base.IsAttr() {
+			for _, c := range base.El.Children {
+				if err := s.take(Node{El: c}); err != nil {
+					return err
+				}
+			}
+		}
+	case axisAttribute:
+		if !base.IsAttr() {
+			for i := range base.El.Attrs {
+				if err := s.take(Node{El: base.El, Attr: &base.El.Attrs[i]}); err != nil {
+					return err
+				}
+			}
+		}
+	case axisDescendant:
+		if !base.IsAttr() {
+			for _, c := range base.El.Children {
+				if err := s.takeSubtree(c); err != nil {
+					return err
+				}
+			}
+		}
+	case axisDescendantOrSelf:
+		if base.IsAttr() {
+			return s.take(base)
+		}
+		return s.takeSubtree(base.El)
+	default:
+		return fmt.Errorf("unsupported axis %d", s.st.axis)
+	}
+	return nil
+}
+
+// takeSubtree hands e and its descendants to take, in document order.
+func (s *stepper) takeSubtree(e *xmltree.Element) error {
+	if err := s.take(Node{El: e}); err != nil {
+		return err
+	}
+	for _, c := range e.Children {
+		if err := s.takeSubtree(c); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// take applies the node test to one axis node and keeps a match: as a
+// candidate when predicates are still to run, otherwise in the result.
+func (s *stepper) take(n Node) error {
+	ok, err := s.st.match(s.ev, n)
+	if err != nil || !ok {
+		return err
+	}
+	if s.st.preds != nil {
+		s.cands = append(s.cands, n)
+	} else {
+		s.emit(n)
+	}
+	return nil
+}
+
+// emit appends n to the step's result, unless the step has already
+// selected it.
+func (s *stepper) emit(n Node) {
+	if s.seen != nil {
+		if s.seen[n] {
+			return
+		}
+		s.seen[n] = true
+	}
+	s.out = append(s.out, n)
 }
 
 func applyPredicateProg(ev *evaluator, cands NodeSet, pred progFn) (NodeSet, error) {
