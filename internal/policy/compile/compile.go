@@ -146,7 +146,6 @@ func compileAssertions(src []*policy.Assertion, in interner) []*CompiledAssertio
 			Name:      in.intern(a.Name),
 			FaultType: in.intern(a.FaultType),
 			src:       a,
-			prog:      a.Expr.Program(),
 		}
 	}
 	return out
@@ -163,9 +162,6 @@ func (s *CompiledSet) addAdaptation(doc string, ap *policy.AdaptationPolicy, in 
 		ActionNames:      names,
 		ActionsJoined:    decision.JoinActions(names),
 		ord:              ord,
-	}
-	if ap.Condition != nil {
-		ca.cond = ap.Condition.Program()
 	}
 	if ap.Trigger.EventType == "" {
 		s.adaptWild = append(s.adaptWild, ca)

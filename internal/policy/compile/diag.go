@@ -2,10 +2,10 @@
 // immutable decision IR — the "object representation of policies, which
 // is updated only when policies change" optimization the paper plans
 // for the .NET wsBus (§3.2), taken one step further in the style of
-// OPA's ast → compile → eval pipeline: XPath expressions are lowered
-// once into closure programs, policies are indexed into per-subject and
-// per-trigger first-match dispatch tables, QNames are interned, and
-// action descriptors are pre-resolved.
+// OPA's ast → compile → eval pipeline: policies are indexed into
+// per-subject and per-trigger first-match dispatch tables, QNames are
+// interned, and action descriptors are pre-resolved. The IR shares each
+// policy's xpath.Compiled, lowered once when the policy was parsed.
 //
 // The compiler is registered on a policy.Repository via Enable; every
 // repository mutation then recompiles the full document set before it
@@ -14,9 +14,11 @@
 // read the current CompiledSet through one atomic load (Lookup) without
 // taking the repository lock.
 //
-// The tree-walking interpreter remains as the oracle: the differential
-// tests in this package replay identical workloads through both
-// evaluators and require identical decision-provenance records.
+// XPath evaluation is shared: the compiled set and the interpreter
+// facades evaluate the same xpath.Compiled. The repository interpreter
+// remains the oracle for dispatch: the differential tests here and in
+// internal/core compare which policies match, in what order, through
+// which gates, and require identical decision-provenance records.
 package compile
 
 import "fmt"

@@ -132,8 +132,8 @@ func MonitoringsFor(r *policy.Repository, subject, operation string) []*Compiled
 	return out
 }
 
-// wrapAssertions builds interpreter-backed assertion wrappers (nil
-// program: EvalBool tree-walks the source expression).
+// wrapAssertions builds assertion wrappers over the repository's
+// policies, without interning.
 func wrapAssertions(src []*policy.Assertion) []*CompiledAssertion {
 	if len(src) == 0 {
 		return nil

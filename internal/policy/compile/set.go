@@ -10,29 +10,23 @@ import (
 	"github.com/masc-project/masc/internal/xpath"
 )
 
-// CompiledAssertion is one monitoring assertion with its XPath
-// constraint lowered to a closure program. With a nil program (the
-// interpreter facade built by MonitoringsFor when no compiled set is
-// live) evaluation falls back to tree-walking the source expression.
+// CompiledAssertion is one monitoring assertion: interned names over
+// the source assertion, whose constraint xpath.Compile lowered when the
+// policy was parsed. The compiled set and the interpreter facade built
+// by MonitoringsFor evaluate the same lowered expression.
 type CompiledAssertion struct {
 	// Name labels the assertion for diagnostics and decision records.
 	Name string
 	// FaultType is raised when the constraint evaluates false.
 	FaultType string
 	src       *policy.Assertion
-	prog      *xpath.Program
 }
 
 // Source returns the assertion's original XPath text.
 func (a *CompiledAssertion) Source() string { return a.src.Expr.Source() }
 
-// EvalBool evaluates the assertion: the lowered program when compiled,
-// the tree-walking interpreter otherwise. Both are observationally
-// identical (enforced by the differential tests).
+// EvalBool evaluates the assertion's constraint.
 func (a *CompiledAssertion) EvalBool(root *xmltree.Element, env xpath.Context) (bool, error) {
-	if a.prog != nil {
-		return a.prog.EvalBool(root, env)
-	}
 	return a.src.Expr.EvalBool(root, env)
 }
 
@@ -55,8 +49,9 @@ type CompiledMonitoring struct {
 	ord              int
 }
 
-// CompiledAdaptation is one adaptation ECA rule with its relevance
-// condition lowered and its action descriptors pre-resolved. The source
+// CompiledAdaptation is one adaptation ECA rule with its action
+// descriptors pre-resolved; its relevance condition is the source
+// policy's, lowered when the policy was parsed. The source
 // policy is embedded: dispatchers keep reading Name, Priority, Actions,
 // StateBefore/After, BusinessValue and Layer exactly as before.
 type CompiledAdaptation struct {
@@ -68,7 +63,6 @@ type CompiledAdaptation struct {
 	// ActionsJoined is the pre-joined decision-record action label
 	// (decision.JoinActions of ActionNames).
 	ActionsJoined string
-	cond          *xpath.Program
 	ord           int
 }
 
@@ -94,12 +88,7 @@ func (ca *CompiledAdaptation) Applies(state string, haveState bool,
 	if ca.Condition == nil {
 		return true, ""
 	}
-	// The lowered program when compiled, the tree interpreter otherwise.
-	eval := ca.Condition.EvalBool
-	if ca.cond != nil {
-		eval = ca.cond.EvalBool
-	}
-	ok, err := eval(input())
+	ok, err := ca.Condition.EvalBool(input())
 	if err != nil {
 		return false, "condition_error"
 	}

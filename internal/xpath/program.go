@@ -3,100 +3,29 @@ package xpath
 import (
 	"fmt"
 	"math"
+	"regexp"
 
 	"github.com/masc-project/masc/internal/xmltree"
 )
-
-// Program is a Compiled expression lowered into a tree of closures: the
-// AST is walked once at lowering time, and every per-evaluation decision
-// that depends only on the expression shape (operator dispatch, step
-// axis selection, the text() axis rewrite, function identity) is
-// resolved then. Evaluation runs the pre-bound closures directly with no
-// type switches over AST nodes. Programs are immutable and safe for
-// concurrent use.
-//
-// A Program is observationally identical to evaluating the Compiled
-// expression it was lowered from: same values, same runtime errors
-// (including error text). The policy compiler relies on this equivalence
-// and the differential tests in internal/policy/compile enforce it.
-type Program struct {
-	src string
-	fn  progFn
-}
 
 // progFn is one lowered expression node: evaluate against the dynamic
 // context and return the value.
 type progFn func(ev *evaluator, ctx evalPos) (Value, error)
 
-// Program lowers the compiled expression into a closure program.
-// Lowering is infallible: every AST shape Compile can produce has a
-// lowering, and runtime-only failures (unbound prefixes, undefined
-// variables, unknown functions) stay runtime errors exactly as in tree
-// evaluation.
-func (c *Compiled) Program() *Program {
-	return &Program{src: c.src, fn: lowerExpr(c.expr)}
-}
+// lowerer lowers one syntax tree. err keeps the first node it has no
+// lowering for, which Compile reports: the parser builds only the
+// shapes below, so that is a parser defect, and an expression from a
+// policy or a process definition must not turn it into a panic.
+type lowerer struct{ err error }
 
-// Source returns the original expression text.
-func (p *Program) Source() string { return p.src }
-
-// Eval evaluates the program with root as both the context node and the
-// document root, using an empty Context.
-func (p *Program) Eval(root *xmltree.Element) (Value, error) {
-	return p.EvalContext(root, Context{})
-}
-
-// EvalContext evaluates the program against root with the given
-// environment.
-func (p *Program) EvalContext(root *xmltree.Element, env Context) (Value, error) {
-	ev := &evaluator{env: env, root: root}
-	return p.fn(ev, evalPos{node: Node{El: root}, pos: 1, size: 1})
-}
-
-// EvalBool is a convenience wrapper returning the boolean value.
-func (p *Program) EvalBool(root *xmltree.Element, env Context) (bool, error) {
-	v, err := p.EvalContext(root, env)
-	if err != nil {
-		return false, err
+func (lw *lowerer) fail(err error) progFn {
+	if lw.err == nil {
+		lw.err = err
 	}
-	return v.Bool(), nil
+	return nil
 }
 
-// EvalString is a convenience wrapper returning the string value.
-func (p *Program) EvalString(root *xmltree.Element, env Context) (string, error) {
-	v, err := p.EvalContext(root, env)
-	if err != nil {
-		return "", err
-	}
-	return v.String(), nil
-}
-
-// EvalNumber is a convenience wrapper returning the numeric value.
-func (p *Program) EvalNumber(root *xmltree.Element, env Context) (float64, error) {
-	v, err := p.EvalContext(root, env)
-	if err != nil {
-		return 0, err
-	}
-	return v.Number(), nil
-}
-
-// EvalNodes evaluates and returns the node-set result, or an error if
-// the expression does not yield a node-set.
-func (p *Program) EvalNodes(root *xmltree.Element, env Context) (NodeSet, error) {
-	v, err := p.EvalContext(root, env)
-	if err != nil {
-		return nil, err
-	}
-	ns, ok := v.(NodeSet)
-	if !ok {
-		return nil, fmt.Errorf("xpath: %q evaluates to %T, not a node-set", p.src, v)
-	}
-	return ns, nil
-}
-
-// --- Lowering ---
-
-func lowerExpr(e expr) progFn {
+func (lw *lowerer) expr(e expr) progFn {
 	switch x := e.(type) {
 	case literalExpr:
 		v := String(x.s)
@@ -114,7 +43,7 @@ func lowerExpr(e expr) progFn {
 			return v, nil
 		}
 	case negExpr:
-		operand := lowerExpr(x.operand)
+		operand := lw.expr(x.operand)
 		return func(ev *evaluator, ctx evalPos) (Value, error) {
 			v, err := operand(ev, ctx)
 			if err != nil {
@@ -123,27 +52,23 @@ func lowerExpr(e expr) progFn {
 			return Number(-v.Number()), nil
 		}
 	case binaryExpr:
-		return lowerBinary(x)
+		return lw.binary(x)
 	case unionExpr:
-		return lowerUnion(x)
+		return lw.union(x)
 	case funcExpr:
-		return lowerFunc(x)
+		return lw.funcCall(x)
 	case filterExpr:
-		return lowerFilter(x)
+		return lw.filter(x)
 	case pathExpr:
-		return lowerPath(x)
+		return lw.path(x)
 	default:
-		// Unreachable for anything Compile produces; defer to the tree
-		// evaluator so behavior (and its error) stays identical.
-		return func(ev *evaluator, ctx evalPos) (Value, error) {
-			return ev.eval(e, ctx)
-		}
+		return lw.fail(fmt.Errorf("unknown expression node %T", e))
 	}
 }
 
-func lowerBinary(x binaryExpr) progFn {
-	lhs := lowerExpr(x.lhs)
-	rhs := lowerExpr(x.rhs)
+func (lw *lowerer) binary(x binaryExpr) progFn {
+	lhs := lw.expr(x.lhs)
+	rhs := lw.expr(x.rhs)
 	switch x.op {
 	case "or":
 		return func(ev *evaluator, ctx evalPos) (Value, error) {
@@ -225,13 +150,7 @@ func lowerBinary(x binaryExpr) progFn {
 			return Number(math.Mod(l.Number(), r.Number())), nil
 		}
 	default:
-		op := x.op
-		return func(ev *evaluator, ctx evalPos) (Value, error) {
-			if _, _, err := evalPair(ev, ctx, lhs, rhs); err != nil {
-				return nil, err
-			}
-			return nil, fmt.Errorf("unknown operator %q", op)
-		}
+		return lw.fail(fmt.Errorf("unknown operator %q", x.op))
 	}
 }
 
@@ -247,10 +166,10 @@ func evalPair(ev *evaluator, ctx evalPos, lhs, rhs progFn) (Value, Value, error)
 	return l, r, nil
 }
 
-func lowerUnion(x unionExpr) progFn {
+func (lw *lowerer) union(x unionExpr) progFn {
 	parts := make([]progFn, len(x.parts))
 	for i, p := range x.parts {
-		parts[i] = lowerExpr(p)
+		parts[i] = lw.expr(p)
 	}
 	return func(ev *evaluator, ctx evalPos) (Value, error) {
 		var out NodeSet
@@ -275,11 +194,16 @@ func lowerUnion(x unionExpr) progFn {
 	}
 }
 
-func lowerFunc(x funcExpr) progFn {
+func (lw *lowerer) funcCall(x funcExpr) progFn {
 	name := x.name
 	args := make([]progFn, len(x.args))
 	for i, a := range x.args {
-		args[i] = lowerExpr(a)
+		args[i] = lw.expr(a)
+	}
+	if name == "matches" && len(args) == 2 {
+		if pattern, ok := x.args[1].(literalExpr); ok {
+			return lowerMatches(args[0], pattern.s)
+		}
 	}
 	return func(ev *evaluator, ctx evalPos) (Value, error) {
 		vals := make([]Value, len(args))
@@ -294,9 +218,26 @@ func lowerFunc(x funcExpr) progFn {
 	}
 }
 
-func lowerFilter(x filterExpr) progFn {
-	primary := lowerExpr(x.primary)
-	preds := lowerPreds(x.preds)
+// lowerMatches lowers matches() with a literal pattern, compiling the
+// pattern once. A pattern that does not compile fails each evaluation,
+// after the subject, with the error a computed pattern gives.
+func lowerMatches(subject progFn, pattern string) progFn {
+	re, reErr := regexp.Compile(pattern)
+	return func(ev *evaluator, ctx evalPos) (Value, error) {
+		s, err := subject(ev, ctx)
+		if err != nil {
+			return nil, err
+		}
+		if reErr != nil {
+			return nil, fmt.Errorf("matches(): %w", reErr)
+		}
+		return Bool(re.MatchString(s.String())), nil
+	}
+}
+
+func (lw *lowerer) filter(x filterExpr) progFn {
+	primary := lw.expr(x.primary)
+	preds := lw.preds(x.preds)
 	return func(ev *evaluator, ctx evalPos) (Value, error) {
 		v, err := primary(ev, ctx)
 		if err != nil {
@@ -333,15 +274,15 @@ type loweredStep struct {
 	preds    []progFn
 }
 
-func lowerPath(x pathExpr) progFn {
+func (lw *lowerer) path(x pathExpr) progFn {
 	var filter progFn
 	if x.filter != nil {
-		filter = lowerExpr(x.filter)
+		filter = lw.expr(x.filter)
 	}
 	absolute := x.absolute
 	steps := make([]loweredStep, len(x.steps))
 	for i, st := range x.steps {
-		steps[i] = lowerStep(st)
+		steps[i] = lw.step(st)
 	}
 	return func(ev *evaluator, ctx evalPos) (Value, error) {
 		var current NodeSet
@@ -372,10 +313,12 @@ func lowerPath(x pathExpr) progFn {
 	}
 }
 
-func lowerStep(st step) loweredStep {
+func (lw *lowerer) step(st step) loweredStep {
 	axis := st.axis
-	// text() selects the character data of the step's context node (see
-	// applyStep); resolve that axis rewrite once at lowering time.
+	// text() selects the character data of the step's context node.
+	// Text lives on elements in this data model, so the step resolves to
+	// the context node itself when it carries text (/Order/Amount/text()
+	// selects the Amount element, whose string-value is its text).
 	if st.test.nodeType == "text" {
 		axis = axisSelf
 	}
@@ -385,23 +328,24 @@ func lowerStep(st step) loweredStep {
 		fromDescendant: st.fromDescendant,
 		overlaps:       st.fromDescendant && overlapping,
 		match:          lowerTest(axis, st.test),
-		preds:          lowerPreds(st.preds),
+		preds:          lw.preds(st.preds),
 	}
 }
 
-func lowerPreds(preds []expr) []progFn {
+func (lw *lowerer) preds(preds []expr) []progFn {
 	if len(preds) == 0 {
 		return nil
 	}
 	out := make([]progFn, len(preds))
 	for i, p := range preds {
-		out[i] = lowerExpr(p)
+		out[i] = lw.expr(p)
 	}
 	return out
 }
 
 // lowerTest lowers a node test against its (rewritten) axis into a
-// matcher closure, mirroring evaluator.matchTest case by case.
+// matcher closure. Name tests match attributes on the attribute axis
+// and elements on the others.
 func lowerTest(axis axisKind, t nodeTest) matchFn {
 	switch t.nodeType {
 	case "node":

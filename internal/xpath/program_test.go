@@ -65,6 +65,9 @@ var equivalenceExprs = []string{
 	// Prefixed name tests (resolve through env namespaces).
 	"//scm:Amount",
 	"//scm:*",
+	// A prefix bound to another namespace than the element's.
+	"//scm:MessageID",
+	"count(//scm:Product)",
 	// Filter expressions with predicates.
 	"(//Item)[2]",
 	"(//Qty | //Price)[4]",
@@ -97,6 +100,30 @@ var equivalenceExprs = []string{
 	"1[2]",
 	"concat('a')",
 	"matches('a', '[')",
+	// The shipped process's conditions, on a VarsDoc-shaped document:
+	// OrderingProcess's HasStock test, and the path compileVarPath makes
+	// of a bare variable name.
+	"count(//catalog/getCatalogResponse/Product) > 0",
+	"//ship-to.addr/*",
+	"sum(//catalog//price) > 1000",
+}
+
+// varsDoc has the shape of workflow.Instance.VarsDoc, the document
+// workflow <if test> and <assign from> expressions and process-layer
+// bindings read: an unqualified <vars> holding one unqualified wrapper
+// per variable, named after it, around the variable's namespaced value.
+const varsDoc = `<vars><catalog><getCatalogResponse xmlns="urn:wsi:scm">` +
+	`<Product><sku>605001</sku><name>TV</name><price>1299.00</price></Product>` +
+	`<Product><sku>605002</sku><name>Radio</name><price>49.50</price></Product>` +
+	`</getCatalogResponse></catalog>` +
+	`<ship-to.addr><Address xmlns="urn:wsi:scm"><City>Sydney</City><Zip>2000</Zip></Address></ship-to.addr>` +
+	`</vars>`
+
+// equivRoots are the documents the equivalence tests evaluate on: a
+// SOAP envelope with a purchase order, and a VarsDoc-shaped document.
+func equivRoots(t *testing.T) []*xmltree.Element {
+	t.Helper()
+	return []*xmltree.Element{doc(t), xmltree.MustParseString(varsDoc)}
 }
 
 func equivEnv() Context {
@@ -109,8 +136,9 @@ func equivEnv() Context {
 	}
 }
 
-// assertEquivalent checks that tree evaluation and the lowered program
-// agree on value (or on error text) for one expression.
+// assertEquivalent checks that the tree-walking oracle and the
+// production Compiled agree on value (or on error text) for one
+// expression.
 func assertEquivalent(t *testing.T, root *xmltree.Element, env Context, src string) {
 	t.Helper()
 	c, err := Compile(src)
@@ -118,7 +146,7 @@ func assertEquivalent(t *testing.T, root *xmltree.Element, env Context, src stri
 		t.Fatalf("compile %q: %v", src, err)
 	}
 	p := c.Program()
-	tv, terr := c.EvalContext(root, env)
+	tv, terr := oracleEval(c, root, env)
 	pv, perr := p.EvalContext(root, env)
 	switch {
 	case terr != nil || perr != nil:
@@ -147,10 +175,11 @@ func normalizeNaN(v Value) Value {
 }
 
 func TestProgramEquivalence(t *testing.T) {
-	root := doc(t)
 	env := equivEnv()
-	for _, src := range equivalenceExprs {
-		assertEquivalent(t, root, env, src)
+	for _, root := range equivRoots(t) {
+		for _, src := range equivalenceExprs {
+			assertEquivalent(t, root, env, src)
+		}
 	}
 }
 
@@ -186,32 +215,13 @@ func TestProgramEvalWrappers(t *testing.T) {
 // expressions from the grammar, and both evaluators must agree on every
 // one (value or error text).
 func TestProgramEquivalenceGenerated(t *testing.T) {
-	root := doc(t)
+	roots := equivRoots(t)
 	env := equivEnv()
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 500; i++ {
 		src := genExpr(rng, 3)
-		c, err := Compile(src)
-		if err != nil {
-			t.Fatalf("generated expression %q does not compile: %v", src, err)
-		}
-		p := c.Program()
-		tv, terr := c.EvalContext(root, env)
-		pv, perr := p.EvalContext(root, env)
-		switch {
-		case terr != nil || perr != nil:
-			tmsg, pmsg := "", ""
-			if terr != nil {
-				tmsg = terr.Error()
-			}
-			if perr != nil {
-				pmsg = perr.Error()
-			}
-			if tmsg != pmsg {
-				t.Errorf("%q: tree err=%q, program err=%q", src, tmsg, pmsg)
-			}
-		case !reflect.DeepEqual(normalizeNaN(tv), normalizeNaN(pv)):
-			t.Errorf("%q: tree=%#v, program=%#v", src, tv, pv)
+		for _, root := range roots {
+			assertEquivalent(t, root, env, src)
 		}
 	}
 }
@@ -226,6 +236,7 @@ func genExpr(rng *rand.Rand, depth int) string {
 		"last()", "count(//Item)", "sum(//Price)", "string(//Profile)",
 		"//Item[1]", "//Item[Qty > 1]", "(//Qty | //Price)[2]",
 		"//CustomerID/text()", "//node()", "descendant::Item", "//Item/..",
+		"//catalog/getCatalogResponse/Product", "//ship-to.addr/*",
 	}
 	if depth <= 0 {
 		return atoms[rng.Intn(len(atoms))]
@@ -252,13 +263,17 @@ func genExpr(rng *rand.Rand, depth int) string {
 }
 
 // FuzzProgramEquivalence fuzzes arbitrary source text: whatever Compile
-// accepts must evaluate identically (value or error) through the tree
-// evaluator and the lowered program.
+// accepts must evaluate identically (value or error) through the
+// tree-walking oracle and the production Compiled, on a small document
+// and on a VarsDoc-shaped one.
 func FuzzProgramEquivalence(f *testing.F) {
 	for _, s := range equivalenceExprs {
 		f.Add(s)
 	}
-	root := xmltree.MustParseString(`<r a="1"><a><b c="d">x</b></a><y>zebra</y><y>7</y></r>`)
+	roots := []*xmltree.Element{
+		xmltree.MustParseString(`<r a="1"><a><b c="d">x</b></a><y>zebra</y><y>7</y></r>`),
+		xmltree.MustParseString(varsDoc),
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		c, err := Compile(src)
 		if err != nil {
@@ -269,17 +284,31 @@ func FuzzProgramEquivalence(f *testing.F) {
 			Vars:       map[string]Value{"var": Bool(false), "amount": Number(1)},
 		}
 		p := c.Program()
-		tv, terr := c.EvalContext(root, env)
-		pv, perr := p.EvalContext(root, env)
-		switch {
-		case (terr == nil) != (perr == nil):
-			t.Fatalf("%q: tree err=%v, program err=%v", src, terr, perr)
-		case terr != nil:
-			if terr.Error() != perr.Error() {
-				t.Fatalf("%q: tree err=%q, program err=%q", src, terr, perr)
+		for _, root := range roots {
+			tv, terr := oracleEval(c, root, env)
+			pv, perr := p.EvalContext(root, env)
+			switch {
+			case (terr == nil) != (perr == nil):
+				t.Fatalf("%q: tree err=%v, program err=%v", src, terr, perr)
+			case terr != nil:
+				if terr.Error() != perr.Error() {
+					t.Fatalf("%q: tree err=%q, program err=%q", src, terr, perr)
+				}
+			case !reflect.DeepEqual(normalizeNaN(tv), normalizeNaN(pv)):
+				t.Fatalf("%q: tree=%#v, program=%#v", src, tv, pv)
 			}
-		case !reflect.DeepEqual(normalizeNaN(tv), normalizeNaN(pv)):
-			t.Fatalf("%q: tree=%#v, program=%#v", src, tv, pv)
 		}
 	})
+}
+
+// TestLowerRejectsUnknownShape: a syntax node the lowering has no case
+// for is an error for Compile to report, not a panic at evaluation.
+func TestLowerRejectsUnknownShape(t *testing.T) {
+	for _, e := range []expr{nil, binaryExpr{op: "^", lhs: numberExpr{1}, rhs: numberExpr{2}}} {
+		var l lowerer
+		fn := l.expr(e)
+		if l.err == nil {
+			t.Errorf("lowering %#v: no error (program %v)", e, fn != nil)
+		}
+	}
 }

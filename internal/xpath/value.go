@@ -172,18 +172,25 @@ type Context struct {
 	Vars map[string]Value
 }
 
-// Compiled is a parsed, reusable XPath expression. Compile once (policy
-// load time), evaluate per message — this is the "object representation
-// of policies" optimization the paper plans for the .NET wsBus.
+// Compiled is an XPath expression lowered into a tree of closures, the
+// "object representation of policies" the paper plans for the .NET
+// wsBus. Compile resolves once every decision that depends only on the
+// expression's shape (operators, axes, the text() rewrite, functions, a
+// literal matches() pattern); evaluation runs the pre-bound closures.
+// A Compiled is immutable and safe for concurrent use.
 type Compiled struct {
-	src  string
-	expr expr
+	src string
+	fn  progFn
 }
 
 // Source returns the original expression text.
 func (c *Compiled) Source() string { return c.src }
 
-// Compile parses an XPath expression.
+// Program returns c itself, which is already the lowered program. Its
+// only caller outside tests is the layer benchmark (benchmark/layers.go).
+func (c *Compiled) Program() *Compiled { return c }
+
+// Compile parses an XPath expression and lowers it.
 func Compile(src string) (*Compiled, error) {
 	p := newParser(src)
 	e, err := p.parseExpr()
@@ -193,7 +200,12 @@ func Compile(src string) (*Compiled, error) {
 	if p.peek().kind != tokEOF {
 		return nil, fmt.Errorf("xpath: compile %q: trailing input at %q", src, p.peek().text)
 	}
-	return &Compiled{src: src, expr: e}, nil
+	var lw lowerer
+	fn := lw.expr(e)
+	if lw.err != nil {
+		return nil, fmt.Errorf("xpath: compile %q: %w", src, lw.err)
+	}
+	return &Compiled{src: src, fn: fn}, nil
 }
 
 // MustCompile is Compile that panics on error; for static expressions.
@@ -215,7 +227,7 @@ func (c *Compiled) Eval(root *xmltree.Element) (Value, error) {
 // environment.
 func (c *Compiled) EvalContext(root *xmltree.Element, env Context) (Value, error) {
 	ev := &evaluator{env: env, root: root}
-	return ev.eval(c.expr, evalPos{node: Node{El: root}, pos: 1, size: 1})
+	return c.fn(ev, evalPos{node: Node{El: root}, pos: 1, size: 1})
 }
 
 // EvalBool is a convenience wrapper returning the boolean value.
