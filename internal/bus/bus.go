@@ -259,7 +259,7 @@ func (b *Bus) CreateVEP(cfg VEPConfig) (*VEP, error) {
 	v.services = append(v.services, cfg.Services...)
 	pp := cfg.Protection
 	if pp == nil {
-		pp = compile.ProtectionLookup(b.repo, v.Subject())
+		pp = compile.Lookup(b.repo).ProtectionFor(v.Subject())
 	}
 	if pp != nil {
 		v.ApplyProtection(pp)

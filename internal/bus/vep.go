@@ -552,7 +552,7 @@ func (v *VEP) correct(ctx context.Context, req *soap.Envelope, op, failedTarget,
 	repo := v.bus.policySource()
 	instanceID := soap.ProcessInstanceID(req)
 
-	for _, pol := range compile.AdaptationsFor(repo, ev, v.Subject()) {
+	for _, pol := range compile.Lookup(repo).AdaptationFor(ev, v.Subject()) {
 		start := v.bus.clk.Now()
 		ok, reason := v.policyApplies(pol, req, op, failedTarget, faultType, instanceID)
 		if !ok {
@@ -870,7 +870,7 @@ func (v *VEP) CheckQoSAndPrevent(demotion time.Duration) []monitor.Violation {
 			continue
 		}
 		ev := event.Event{Type: event.TypeSLAViolation, FaultType: vs[0].FaultType}
-		for _, pol := range compile.AdaptationsFor(repo, ev, v.Subject()) {
+		for _, pol := range compile.Lookup(repo).AdaptationFor(ev, v.Subject()) {
 			if len(pol.Actions) == 0 {
 				continue
 			}

@@ -39,9 +39,8 @@ type NodeInfo struct {
 	ID string `json:"id"`
 	// Addr is the advertised HTTP base URL, e.g. "http://10.0.0.1:8080".
 	Addr string `json:"addr"`
-	// PolicyRevision is the policy bundle manifest revision the node
-	// currently serves (empty when it runs the interpreter path or has
-	// no compiled bundle).
+	// PolicyRevision is the manifest revision of the policy bundle the
+	// node currently serves.
 	PolicyRevision string `json:"policy_revision,omitempty"`
 	// WALSegment/WALOffset are the node's WAL write position, so peers
 	// can report replication lag against it.

@@ -140,7 +140,7 @@ func (s *AdaptationService) InstanceCreated(inst *workflow.Instance) {
 		ProcessInstanceID: inst.ID(),
 		Service:           inst.Definition(),
 	}
-	for _, pol := range compile.AdaptationsFor(s.repo, ev, inst.Definition()) {
+	for _, pol := range compile.Lookup(s.repo).AdaptationFor(ev, inst.Definition()) {
 		applies, _ := pol.Applies(inst.AdaptationState(), true, func() (*xmltree.Element, xpath.Context) {
 			return inst.VarsDoc(), instanceXPathEnv(inst)
 		})

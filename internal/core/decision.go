@@ -106,9 +106,8 @@ func (d *DecisionMaker) onEvent(ev event.Event) {
 	}
 	d.evaluations.With(string(ev.Type)).Inc()
 	// Policies scoped to the process definition (the bus enforces
-	// VEP-scoped ones itself). Dispatch reads the compiled IR when one
-	// is published, the repository interpreter otherwise.
-	for _, pol := range compile.AdaptationsFor(d.repo, ev, inst.Definition()) {
+	// VEP-scoped ones itself).
+	for _, pol := range compile.Lookup(d.repo).AdaptationFor(ev, inst.Definition()) {
 		start := time.Now()
 		applies, reason := d.policyApplies(pol, inst, ev)
 		if !applies {

@@ -3,13 +3,11 @@ package core
 import (
 	"context"
 	"errors"
-	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/masc-project/masc/internal/policy"
-	"github.com/masc-project/masc/internal/policy/compile"
 	"github.com/masc-project/masc/internal/soap"
 	"github.com/masc-project/masc/internal/telemetry/decision"
 	"github.com/masc-project/masc/internal/transport"
@@ -67,7 +65,7 @@ const differentialPolicies = `
 // failure recovered by substitution, a process run whose fault reaches
 // the decision maker, and QoS threshold sweeps — and returns every
 // decision-provenance record it produced.
-func runDifferentialWorkload(t *testing.T, compiled bool) []decision.Record {
+func runDifferentialWorkload(t *testing.T) []decision.Record {
 	t.Helper()
 
 	net := transport.NewNetwork()
@@ -102,11 +100,6 @@ func runDifferentialWorkload(t *testing.T, compiled bool) []decision.Record {
 	}))
 
 	repo := policy.NewRepository()
-	if compiled {
-		if err := compile.Enable(repo, compile.Options{}); err != nil {
-			t.Fatal(err)
-		}
-	}
 	rec := decision.NewRecorder(4096, nil)
 	s := NewStack(net,
 		WithClock(clockFake()),
@@ -160,8 +153,8 @@ func runDifferentialWorkload(t *testing.T, compiled bool) []decision.Record {
 		t.Fatal(err)
 	}
 	// The oversized result makes the invoke fail its post-condition, so
-	// the run ends in a fault; both replays must fail identically — the
-	// decision records, not the process outcome, are under test.
+	// the run ends in a fault; the decision records, not the process
+	// outcome, are under test.
 	inst.Wait(10 * time.Second) //nolint:errcheck
 
 	// Phase 3 — QoS threshold sweeps over the measured targets.
@@ -171,44 +164,68 @@ func runDifferentialWorkload(t *testing.T, compiled bool) []decision.Record {
 	return rec.Records(decision.Query{})
 }
 
-// normalizeRecord zeroes the fields that legitimately differ between
-// two replays of the same workload: recorder bookkeeping (Seq, ID),
-// wall-clock times, and trace identifiers. Everything else — policy,
-// verdict, reason, action, inputs, per-assertion results — must match
-// exactly between the interpreter and the compiled IR.
-func normalizeRecord(r decision.Record) decision.Record {
-	r.Seq = 0
-	r.ID = ""
-	r.Time = time.Time{}
-	r.Latency = 0
-	r.Trace = ""
-	r.Span = ""
-	return r
+// goldenRecord is the part of a decision record that says which policy
+// was consulted where and what it decided.
+type goldenRecord struct {
+	Site, Policy, Subject string
+	Verdict               decision.Verdict
+	Reason, Action        string
 }
 
-// TestCompiledDecisionsMatchInterpreter is the differential oracle the
-// compiler is held to: the same fixture workload replayed through the
-// tree interpreter and through the compiled decision IR must produce
-// identical decision-provenance records — same policies consulted in
-// the same order, same verdicts, same rejection reasons, same actions.
-func TestCompiledDecisionsMatchInterpreter(t *testing.T) {
-	interp := runDifferentialWorkload(t, false)
-	ir := runDifferentialWorkload(t, true)
+// interpreterGolden is the record sequence the workload produced when
+// dispatch still scanned the repository on every event (the repository
+// interpreter, now the test oracle in internal/policy/compile): 14
+// monitor, 9 bus and 2 decision records.
+var interpreterGolden = []goldenRecord{
+	{"monitor", "svc-messages", "vep:Svc", "passed", "", ""},
+	{"monitor", "svc-messages", "vep:Svc", "passed", "", ""},
+	{"monitor", "svc-messages", "vep:Svc", "passed", "", ""},
+	{"monitor", "svc-messages", "vep:Svc", "matched", "assertion \"number(//Result) < 100\" is false", "publish:fault.detected"},
+	{"bus", "gated-recovery", "vep:Svc", "rejected", "no_process_state", ""},
+	{"bus", "never-matches", "vep:Svc", "rejected", "condition_false", ""},
+	{"bus", "retry-then-switch", "vep:Svc", "matched", "", "Retry+Substitute"},
+	{"monitor", "svc-messages", "vep:Svc", "matched", "assertion \"number(//Result) < 100\" is false", "publish:fault.detected"},
+	{"monitor", "svc-messages", "vep:Svc", "passed", "", ""},
+	{"bus", "gated-recovery", "vep:Svc", "rejected", "no_process_state", ""},
+	{"bus", "never-matches", "vep:Svc", "rejected", "condition_false", ""},
+	{"bus", "retry-then-switch", "vep:Svc", "matched", "", "Retry+Substitute"},
+	{"monitor", "svc-messages", "vep:Svc", "passed", "", ""},
+	{"monitor", "svc-messages", "vep:Svc", "passed", "", ""},
+	{"monitor", "svc-messages", "vep:Svc", "passed", "", ""},
+	{"monitor", "svc-messages", "vep:Svc", "passed", "", ""},
+	{"monitor", "svc-messages", "vep:Svc", "matched", "assertion \"number(//Result) < 100\" is false", "publish:fault.detected"},
+	{"decision", "proc-react", "P", "matched", "", "AdjustTimeout"},
+	{"decision", "proc-gated", "P", "rejected", "state_mismatch", ""},
+	{"bus", "gated-recovery", "vep:Svc", "rejected", "state_mismatch", ""},
+	{"bus", "never-matches", "vep:Svc", "rejected", "condition_false", ""},
+	{"bus", "retry-then-switch", "vep:Svc", "matched", "", "Retry+Substitute"},
+	{"monitor", "svc-messages", "vep:Svc", "matched", "assertion \"number(//Result) < 100\" is false", "publish:fault.detected"},
+	{"monitor", "svc-messages", "vep:Svc", "passed", "", ""},
+	{"monitor", "svc-messages", "vep:Svc", "passed", "", ""},
+}
 
-	if len(interp) == 0 {
-		t.Fatal("workload produced no decision records")
-	}
-	if len(interp) != len(ir) {
-		t.Fatalf("record counts differ: interpreter=%d compiled=%d", len(interp), len(ir))
-	}
+// TestDecisionWorkloadMatchesInterpreterGolden is the end-to-end oracle
+// the compiled dispatch tables are held to: the fixture workload must
+// produce the interpreter's decision records — same policies consulted
+// in the same order, same verdicts, same rejection reasons, same
+// actions.
+func TestDecisionWorkloadMatchesInterpreterGolden(t *testing.T) {
+	records := runDifferentialWorkload(t)
 	var sites, verdicts = map[string]bool{}, map[decision.Verdict]bool{}
-	for i := range interp {
-		a, b := normalizeRecord(interp[i]), normalizeRecord(ir[i])
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("record %d differs:\ninterpreter: %+v\ncompiled:    %+v", i, a, b)
+	for i, r := range records {
+		got := goldenRecord{r.Site, r.Policy, r.Subject, r.Verdict, r.Reason, r.Action}
+		if i >= len(interpreterGolden) {
+			t.Errorf("record %d beyond the golden: %+v", i, got)
+			continue
 		}
-		sites[a.Site] = true
-		verdicts[a.Verdict] = true
+		if got != interpreterGolden[i] {
+			t.Errorf("record %d differs:\ninterpreter: %+v\ncompiled:    %+v", i, interpreterGolden[i], got)
+		}
+		sites[r.Site] = true
+		verdicts[r.Verdict] = true
+	}
+	if len(records) != len(interpreterGolden) {
+		t.Fatalf("record count = %d, interpreter golden %d", len(records), len(interpreterGolden))
 	}
 	// The fixture must actually exercise the rewired sites and the
 	// interesting verdicts, or the equivalence proof is vacuous.

@@ -43,9 +43,16 @@ func (d *Daemon) latencyQuantiles() []vepLatency {
 }
 
 // healthz reports liveness as JSON: the process is up, for how long,
-// what is deployed, and how fast the VEPs are serving.
+// what is deployed, and how fast the VEPs are serving. The policy
+// fields all come from one published set, so a bundle swap between
+// them cannot mix two bundles in one response.
 func (d *Daemon) healthz(w http.ResponseWriter, _ *http.Request) {
-	mon, adapt := d.repo.Counts()
+	cs := compile.Lookup(d.repo)
+	mon, adapt, prot := cs.Counts()
+	docs := make([]string, len(cs.Manifest.Documents))
+	for i, dm := range cs.Manifest.Documents {
+		docs[i] = dm.Name
+	}
 	status := struct {
 		Status             string         `json:"status"`
 		Version            string         `json:"version"`
@@ -66,11 +73,11 @@ func (d *Daemon) healthz(w http.ResponseWriter, _ *http.Request) {
 		Version:            version.Version,
 		UptimeSeconds:      time.Since(d.start).Seconds(),
 		VEPs:               d.stack.Bus.VEPs(),
-		PolicyRevision:     compile.Lookup(d.repo).Manifest.Revision,
-		PolicyDocuments:    d.repo.Documents(),
+		PolicyRevision:     cs.Manifest.Revision,
+		PolicyDocuments:    docs,
 		MonitoringPolicies: mon,
 		AdaptationPolicies: adapt,
-		ProtectionPolicies: d.repo.ProtectionCount(),
+		ProtectionPolicies: prot,
 		InflightRequests:   d.inflightN.Load(),
 		Instances:          len(d.stack.Engine.Instances()),
 		Store:              d.storeStatus(),

@@ -82,14 +82,6 @@ func loadAll(t *testing.T, docs []*policy.Document) *policy.Repository {
 	return repo
 }
 
-func monNames(mps []*compile.CompiledMonitoring) []string {
-	var out []string
-	for _, mp := range mps {
-		out = append(out, mp.Name)
-	}
-	return out
-}
-
 func adaptNames(aps []*compile.CompiledAdaptation) []string {
 	var out []string
 	for _, ap := range aps {
@@ -99,11 +91,12 @@ func adaptNames(aps []*compile.CompiledAdaptation) []string {
 }
 
 // TestDispatchTablesMatchRepository checks the compiled first-match
-// tables against the repository interpreter over the full grid of
-// subjects, operations, and trigger events: same policies, same order.
+// tables against the repository scans in oracle_test.go over the full
+// grid of subjects, operations, and trigger events: same policies, same
+// order.
 func TestDispatchTablesMatchRepository(t *testing.T) {
 	docs := fixtureDocs(t)
-	repo := loadAll(t, docs)
+	snapshot := loadAll(t, docs).Snapshot()
 	cs, err := compile.Compile(docs)
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +106,7 @@ func TestDispatchTablesMatchRepository(t *testing.T) {
 	operations := []string{"", "getQuote", "submitOrder"}
 	for _, subject := range subjects {
 		for _, op := range operations {
-			want := repo.MonitoringFor(subject, op)
+			want := oracleMonitoringFor(snapshot, subject, op)
 			got := cs.MonitoringFor(subject, op)
 			if len(want) != len(got) {
 				t.Fatalf("MonitoringFor(%q,%q): %d vs %d policies", subject, op, len(want), len(got))
@@ -125,7 +118,7 @@ func TestDispatchTablesMatchRepository(t *testing.T) {
 				}
 			}
 
-			wantP := repo.ProtectionFor(subject)
+			wantP := oracleProtectionFor(snapshot, subject)
 			gotP := cs.ProtectionFor(subject)
 			switch {
 			case (wantP == nil) != (gotP == nil):
@@ -144,7 +137,7 @@ func TestDispatchTablesMatchRepository(t *testing.T) {
 	}
 	for _, ev := range events {
 		for _, subject := range subjects {
-			want := repo.AdaptationFor(ev, subject)
+			want := oracleAdaptationFor(snapshot, ev, subject)
 			got := cs.AdaptationFor(ev, subject)
 			wantNames := make([]string, len(want))
 			for i, ap := range want {
@@ -207,7 +200,6 @@ func TestEnableSwapAndRollback(t *testing.T) {
 	if before == nil {
 		t.Fatal("no compiled set published after ReplaceAll")
 	}
-	revBefore := repo.Revision()
 
 	invalid := parseDoc(t, `
 <PolicyDocument xmlns="urn:masc:ws-policy4masc" name="broken">
@@ -221,9 +213,6 @@ func TestEnableSwapAndRollback(t *testing.T) {
 	}
 	if got := compile.Lookup(repo); got != before {
 		t.Fatal("rejected ReplaceAll swapped the compiled set")
-	}
-	if repo.Revision() != revBefore {
-		t.Fatal("rejected ReplaceAll bumped the revision")
 	}
 	if len(repo.Snapshot()) != 2 {
 		t.Fatalf("document map changed: %d docs", len(repo.Snapshot()))
@@ -252,34 +241,11 @@ func TestEnableSwapAndRollback(t *testing.T) {
 	if after.Manifest.Revision == before.Manifest.Revision {
 		t.Fatal("content change kept the same revision")
 	}
-	if repo.Revision() <= revBefore {
-		t.Fatal("revision counter did not advance")
-	}
 	if !repo.Unload("zeta") {
 		t.Fatal("Unload failed")
 	}
 	if ds := compile.Lookup(repo).Doc("zeta"); ds != nil {
 		t.Fatal("unloaded document still in compiled set")
-	}
-}
-
-// TestInterpreterFacades: with no compiler registered, the facades wrap
-// the repository interpreter and evaluation still works.
-func TestInterpreterFacades(t *testing.T) {
-	repo := loadAll(t, fixtureDocs(t))
-	if compile.Lookup(repo) != nil {
-		t.Fatal("Lookup returned a set with no compiler registered")
-	}
-	mons := compile.MonitoringsFor(repo, "vep:Trader", "getQuote")
-	if got := strings.Join(monNames(mons), ","); got != "a-exact,a-subject-wide,z-any-subject" {
-		t.Fatalf("MonitoringsFor = %q", got)
-	}
-	aps := compile.AdaptationsFor(repo, event.Event{Type: event.TypeFaultDetected}, "vep:Trader")
-	if len(aps) == 0 || aps[0].ActionsJoined == "" {
-		t.Fatalf("AdaptationsFor wrappers lack joined actions: %+v", aps)
-	}
-	if pp := compile.ProtectionLookup(repo, "vep:Trader"); pp == nil || pp.Name != "a-exact-guard" {
-		t.Fatalf("ProtectionLookup = %+v", pp)
 	}
 }
 
@@ -377,9 +343,9 @@ func TestAdaptationGate(t *testing.T) {
     <Actions><Skip/></Actions>
   </AdaptationPolicy>
 </PolicyDocument>`)})
-	aps := compile.AdaptationsFor(repo, event.Event{Type: event.TypeFaultDetected}, "P")
+	aps := compile.Lookup(repo).AdaptationFor(event.Event{Type: event.TypeFaultDetected}, "P")
 	if got := strings.Join(adaptNames(aps), ","); got != "gated,open" {
-		t.Fatalf("AdaptationsFor = %q", got)
+		t.Fatalf("AdaptationFor = %q", got)
 	}
 	gated, open := aps[0], aps[1]
 	root := xmltree.New("", "vars")

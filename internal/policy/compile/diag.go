@@ -14,11 +14,12 @@
 // read the current CompiledSet through one atomic load (Lookup) without
 // taking the repository lock.
 //
-// XPath evaluation is shared: the compiled set and the interpreter
-// facades evaluate the same xpath.Compiled. The repository interpreter
-// remains the oracle for dispatch: the differential tests here and in
-// internal/core compare which policies match, in what order, through
-// which gates, and require identical decision-provenance records.
+// Lookup enables a repository nobody enabled on its first lookup, so
+// the compiled set is the only policy dispatcher. The repository scans
+// it replaced are the oracle for dispatch, in oracle_test.go: the
+// differential tests here compare which policies match and in what
+// order, and internal/core holds a fixture workload's decision records
+// to the ones the scans produced.
 package compile
 
 import "fmt"

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/masc-project/masc/internal/event"
 	"github.com/masc-project/masc/internal/policy"
 	"github.com/masc-project/masc/internal/telemetry"
-	"github.com/masc-project/masc/internal/telemetry/decision"
 )
 
 // Options configures Enable. Both fields are optional.
@@ -97,83 +95,30 @@ func Enable(r *policy.Repository, opts Options) error {
 	return r.SetCompiler(fn)
 }
 
-// Lookup returns the repository's live CompiledSet, or nil when no
-// compiler is registered (interpreter mode). One atomic load; never
-// takes the repository lock.
+// Lookup returns the repository's live CompiledSet: one atomic load
+// that never takes the repository lock, and never nil. A repository
+// nobody has called Enable on is enabled here, without metrics, on its
+// first lookup; from then on its mutations compile before they publish.
+// Callers that want the metrics and the audit journal (mascd, the
+// benchmark) call Enable before loading. Two racing first lookups each
+// compile under the repository lock and publish equal sets.
 func Lookup(r *policy.Repository) *CompiledSet {
-	cs, _ := r.Compiled().(*CompiledSet)
-	return cs
+	if cs, ok := r.Compiled().(*CompiledSet); ok {
+		return cs
+	}
+	// Compile fails only on a duplicate document name, which the
+	// repository's name-keyed document map excludes, or when a document
+	// does not serialize, which xmltree.MarshalString never reports. An
+	// error here is a broken invariant, not a bad policy.
+	if err := Enable(r, Options{}); err != nil {
+		panic(fmt.Sprintf("compile: repository documents failed to compile: %v", err))
+	}
+	return r.Compiled().(*CompiledSet)
 }
 
-// MonitoringsFor is the evaluation-site facade for monitoring lookups:
-// compiled entries from the live set when one is published, or thin
-// uncompiled wrappers over the repository interpreter otherwise — so
-// each call site keeps a single loop either way.
+// MonitoringsFor is Lookup(r).MonitoringFor(subject, operation). It
+// stays a function of its own because benchmark/layers.go measures
+// it as the policy.lookup row.
 func MonitoringsFor(r *policy.Repository, subject, operation string) []*CompiledMonitoring {
-	if cs := Lookup(r); cs != nil {
-		return cs.MonitoringFor(subject, operation)
-	}
-	src := r.MonitoringFor(subject, operation)
-	if len(src) == 0 {
-		return nil
-	}
-	out := make([]*CompiledMonitoring, len(src))
-	for i, mp := range src {
-		out[i] = &CompiledMonitoring{
-			Doc:              "",
-			Name:             mp.Name,
-			Scope:            mp.Scope,
-			Pre:              wrapAssertions(mp.PreConditions),
-			Post:             wrapAssertions(mp.PostConditions),
-			Thresholds:       mp.Thresholds,
-			ValidateContract: mp.ValidateContract,
-		}
-	}
-	return out
-}
-
-// wrapAssertions builds assertion wrappers over the repository's
-// policies, without interning.
-func wrapAssertions(src []*policy.Assertion) []*CompiledAssertion {
-	if len(src) == 0 {
-		return nil
-	}
-	out := make([]*CompiledAssertion, len(src))
-	for i, a := range src {
-		out[i] = &CompiledAssertion{Name: a.Name, FaultType: a.FaultType, src: a}
-	}
-	return out
-}
-
-// AdaptationsFor is the evaluation-site facade for adaptation dispatch:
-// compiled entries when a set is live, interpreter-backed wrappers
-// otherwise.
-func AdaptationsFor(r *policy.Repository, e event.Event, subject string) []*CompiledAdaptation {
-	if cs := Lookup(r); cs != nil {
-		return cs.AdaptationFor(e, subject)
-	}
-	src := r.AdaptationFor(e, subject)
-	if len(src) == 0 {
-		return nil
-	}
-	out := make([]*CompiledAdaptation, len(src))
-	for i, ap := range src {
-		names := policy.ActionNames(ap.Actions)
-		out[i] = &CompiledAdaptation{
-			AdaptationPolicy: ap,
-			ActionNames:      names,
-			ActionsJoined:    decision.JoinActions(names),
-		}
-	}
-	return out
-}
-
-// ProtectionLookup is the evaluation-site facade for protection
-// policies: the compiled first-match table when a set is live, the
-// repository scan otherwise.
-func ProtectionLookup(r *policy.Repository, subject string) *policy.ProtectionPolicy {
-	if cs := Lookup(r); cs != nil {
-		return cs.ProtectionFor(subject)
-	}
-	return r.ProtectionFor(subject)
+	return Lookup(r).MonitoringFor(subject, operation)
 }

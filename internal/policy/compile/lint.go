@@ -83,7 +83,7 @@ func shadowedPolicies(doc *policy.Document) []Diagnostic {
 	return out
 }
 
-// sortsBefore mirrors Repository.AdaptationFor's ordering: descending
+// sortsBefore mirrors CompiledSet.AdaptationFor's ordering: descending
 // priority, ties broken by ascending name.
 func sortsBefore(a, b *policy.AdaptationPolicy) bool {
 	if a.Priority != b.Priority {

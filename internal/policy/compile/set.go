@@ -12,8 +12,7 @@ import (
 
 // CompiledAssertion is one monitoring assertion: interned names over
 // the source assertion, whose constraint xpath.Compile lowered when the
-// policy was parsed. The compiled set and the interpreter facade built
-// by MonitoringsFor evaluate the same lowered expression.
+// policy was parsed.
 type CompiledAssertion struct {
 	// Name labels the assertion for diagnostics and decision records.
 	Name string
@@ -181,10 +180,11 @@ type Manifest struct {
 
 // CompiledSet is the immutable decision IR for one full document set.
 // It is built once per repository mutation and published with a single
-// atomic store; readers never see a partially updated set. All lookup
-// methods reproduce the repository interpreter's ordering exactly:
-// (document name, document order) for first-match tables, and
-// (priority desc, name asc, document order) for adaptation dispatch.
+// atomic store; readers never see a partially updated set. It is the
+// only policy dispatcher. Its lookups order exactly as the repository
+// scans in oracle_test.go that tests hold it to: (document name,
+// document order) for first-match tables, and (priority desc, name
+// asc, document order) for adaptation dispatch.
 type CompiledSet struct {
 	// Manifest is the bundle identity of this set.
 	Manifest Manifest
@@ -229,7 +229,7 @@ func (s *CompiledSet) Counts() (monitoring, adaptation, protection int) {
 
 // MonitoringFor returns the compiled monitoring policies whose scope
 // covers the subject and operation, in (document name, document order)
-// — byte-for-byte the repository interpreter's order.
+// — the order of the repository scan it is tested against.
 func (s *CompiledSet) MonitoringFor(subject, operation string) []*CompiledMonitoring {
 	var exact []*CompiledMonitoring
 	if subject != "" {
@@ -276,7 +276,7 @@ func (s *CompiledSet) ProtectionFor(subject string) *policy.ProtectionPolicy {
 
 // adaptBefore is the adaptation dispatch order: descending priority,
 // ties by ascending name, then by global ordinal — exactly the result
-// of the interpreter's stable sort over (document name, document order).
+// of a stable sort over (document name, document order).
 func adaptBefore(a, b *CompiledAdaptation) bool {
 	if a.Priority != b.Priority {
 		return a.Priority > b.Priority

@@ -5,6 +5,7 @@ import (
 
 	"github.com/masc-project/masc/internal/event"
 	"github.com/masc-project/masc/internal/policy"
+	"github.com/masc-project/masc/internal/policy/compile"
 )
 
 // ExampleParseString shows loading a WS-Policy4MASC document and
@@ -31,7 +32,8 @@ func ExampleParseString() {
 	// retry-then-failover: on fault.detected(TimeoutFault), 2 actions, priority 10
 }
 
-// ExampleRepository shows priority-ordered policy lookup per event.
+// ExampleRepository shows priority-ordered policy lookup per event,
+// answered by the repository's compiled set.
 func ExampleRepository() {
 	repo := policy.NewRepository()
 	_, err := repo.LoadXML(`
@@ -47,7 +49,7 @@ func ExampleRepository() {
 		fmt.Println("load:", err)
 		return
 	}
-	for _, p := range repo.AdaptationFor(event.Event{Type: event.TypeFaultDetected}, "vep:S") {
+	for _, p := range compile.Lookup(repo).AdaptationFor(event.Event{Type: event.TypeFaultDetected}, "vep:S") {
 		fmt.Println(p.Name)
 	}
 	// Output:

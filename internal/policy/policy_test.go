@@ -2,12 +2,15 @@ package policy
 
 import (
 	"errors"
-	"strings"
 	"testing"
 	"time"
 
 	"github.com/masc-project/masc/internal/event"
 )
+
+// FullDoc exposes fullDoc to the external test package, whose
+// repository tests dispatch through internal/policy/compile.
+const FullDoc = fullDoc
 
 // fullDoc exercises every construct the language supports.
 const fullDoc = `
@@ -333,103 +336,4 @@ func TestTriggerMatching(t *testing.T) {
 	if !anyFault.Matches(event.Event{Type: event.TypeFaultDetected, FaultType: "Whatever"}) {
 		t.Fatal("wildcard fault type failed")
 	}
-}
-
-func TestRepository(t *testing.T) {
-	r := NewRepository()
-	if _, err := r.LoadXML(fullDoc); err != nil {
-		t.Fatal(err)
-	}
-	if docs := r.Documents(); len(docs) != 1 || docs[0] != "scm-policies" {
-		t.Fatalf("Documents = %v", docs)
-	}
-
-	mons := r.MonitoringFor("vep:Retailer", "getCatalog")
-	if len(mons) != 1 {
-		t.Fatalf("MonitoringFor = %d", len(mons))
-	}
-	if mons := r.MonitoringFor("vep:Retailer", "submitOrder"); len(mons) != 0 {
-		t.Fatalf("operation scope leaked: %d", len(mons))
-	}
-
-	e := event.Event{Type: event.TypeFaultDetected, FaultType: "TimeoutFault"}
-	aps := r.AdaptationFor(e, "vep:Retailer")
-	if len(aps) != 1 || aps[0].Name != "retry-then-failover" {
-		t.Fatalf("AdaptationFor = %+v", names(aps))
-	}
-
-	// Any-fault policy matches other fault types.
-	e2 := event.Event{Type: event.TypeFaultDetected, FaultType: "ServiceUnavailableFault"}
-	aps = r.AdaptationFor(e2, "vep:Logging")
-	if len(aps) != 1 || aps[0].Name != "skip-logging" {
-		t.Fatalf("AdaptationFor logging = %v", names(aps))
-	}
-
-	if _, err := r.AdaptationByName("retry-then-failover"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.AdaptationByName("nope"); err == nil {
-		t.Fatal("unknown policy found")
-	}
-
-	if !r.Unload("scm-policies") {
-		t.Fatal("Unload returned false")
-	}
-	if r.Unload("scm-policies") {
-		t.Fatal("second Unload returned true")
-	}
-	if len(r.AdaptationFor(e, "vep:Retailer")) != 0 {
-		t.Fatal("policies survive unload")
-	}
-}
-
-func TestRepositoryPriorityOrdering(t *testing.T) {
-	doc := `
-<PolicyDocument xmlns="urn:masc:ws-policy4masc" name="prio">
-  <AdaptationPolicy name="low" priority="1"><OnEvent type="fault.detected"/><Actions><Skip/></Actions></AdaptationPolicy>
-  <AdaptationPolicy name="high" priority="9"><OnEvent type="fault.detected"/><Actions><Skip/></Actions></AdaptationPolicy>
-  <AdaptationPolicy name="alpha" priority="5"><OnEvent type="fault.detected"/><Actions><Skip/></Actions></AdaptationPolicy>
-  <AdaptationPolicy name="beta" priority="5"><OnEvent type="fault.detected"/><Actions><Skip/></Actions></AdaptationPolicy>
-</PolicyDocument>`
-	r := NewRepository()
-	if _, err := r.LoadXML(doc); err != nil {
-		t.Fatal(err)
-	}
-	aps := r.AdaptationFor(event.Event{Type: event.TypeFaultDetected}, "")
-	got := names(aps)
-	want := []string{"high", "alpha", "beta", "low"}
-	if strings.Join(got, ",") != strings.Join(want, ",") {
-		t.Fatalf("order = %v, want %v", got, want)
-	}
-}
-
-func TestRepositoryLiveReplace(t *testing.T) {
-	r := NewRepository()
-	v1 := `<PolicyDocument xmlns="urn:masc:ws-policy4masc" name="d">
-		<AdaptationPolicy name="p" priority="1"><OnEvent type="fault.detected"/><Actions><Skip/></Actions></AdaptationPolicy>
-	</PolicyDocument>`
-	v2 := `<PolicyDocument xmlns="urn:masc:ws-policy4masc" name="d">
-		<AdaptationPolicy name="p" priority="1"><OnEvent type="fault.detected"/><Actions><Retry maxAttempts="5"/></Actions></AdaptationPolicy>
-	</PolicyDocument>`
-	if _, err := r.LoadXML(v1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.LoadXML(v2); err != nil {
-		t.Fatal(err)
-	}
-	aps := r.AdaptationFor(event.Event{Type: event.TypeFaultDetected}, "")
-	if len(aps) != 1 {
-		t.Fatalf("policies = %d, want 1 (replaced, not appended)", len(aps))
-	}
-	if _, ok := aps[0].Actions[0].(RetryAction); !ok {
-		t.Fatal("replacement not visible")
-	}
-}
-
-func names(aps []*AdaptationPolicy) []string {
-	out := make([]string, 0, len(aps))
-	for _, ap := range aps {
-		out = append(out, ap.Name)
-	}
-	return out
 }

@@ -115,30 +115,3 @@ func TestValidateDuplicateNameAcrossClasses(t *testing.T) {
 		t.Fatalf("err = %v, want duplicate-name rejection", err)
 	}
 }
-
-func TestRepositoryProtectionFor(t *testing.T) {
-	r := NewRepository()
-	if _, err := r.LoadXML(`
-<PolicyDocument xmlns="urn:masc:ws-policy4masc" name="b-doc">
-  <ProtectionPolicy name="wildcard"><Admission maxInFlight="100"/></ProtectionPolicy>
-</PolicyDocument>`); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.LoadXML(`
-<PolicyDocument xmlns="urn:masc:ws-policy4masc" name="a-doc">
-  <ProtectionPolicy name="retailer" subject="vep:Retailer"><Admission maxInFlight="4"/></ProtectionPolicy>
-</PolicyDocument>`); err != nil {
-		t.Fatal(err)
-	}
-	if n := r.ProtectionCount(); n != 2 {
-		t.Fatalf("ProtectionCount = %d", n)
-	}
-	// Documents are consulted in name order: a-doc's subject-scoped
-	// policy wins for the retailer, the wildcard covers everyone else.
-	if pp := r.ProtectionFor("vep:Retailer"); pp == nil || pp.Name != "retailer" {
-		t.Fatalf("ProtectionFor(vep:Retailer) = %+v", pp)
-	}
-	if pp := r.ProtectionFor("vep:Warehouse"); pp == nil || pp.Name != "wildcard" {
-		t.Fatalf("ProtectionFor(vep:Warehouse) = %+v", pp)
-	}
-}

@@ -143,39 +143,3 @@ func TestQuickDocumentRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestQuickRepositoryOrdering property-tests that AdaptationFor always
-// returns policies in non-increasing priority order, whatever the
-// document contents.
-func TestQuickRepositoryOrdering(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		doc := &Document{Name: "d"}
-		for i := 0; i < 1+rng.Intn(8); i++ {
-			p := genPolicy(rng, i)
-			p.Scope = Scope{} // match everything
-			p.Trigger = Trigger{EventType: event.TypeFaultDetected}
-			doc.Adaptation = append(doc.Adaptation, p)
-		}
-		r := NewRepository()
-		if err := r.Load(doc); err != nil {
-			return false
-		}
-		got := r.AdaptationFor(event.Event{Type: event.TypeFaultDetected}, "anything")
-		if len(got) != len(doc.Adaptation) {
-			return false
-		}
-		for i := 1; i < len(got); i++ {
-			if got[i].Priority > got[i-1].Priority {
-				return false
-			}
-			if got[i].Priority == got[i-1].Priority && got[i].Name < got[i-1].Name {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}

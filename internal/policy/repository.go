@@ -5,8 +5,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"github.com/masc-project/masc/internal/event"
 )
 
 // CompilerFunc lowers a full document set (sorted by document name)
@@ -29,13 +27,15 @@ type CompilerFunc func(docs []*Document) (artifact any, err error)
 // full before the result is published with one atomic store, and on
 // compile failure the mutation is rolled back — the previous documents
 // and compiled artifact keep serving. Readers on the evaluation hot
-// path call Compiled() and never take the repository lock.
+// path call Compiled() and never take the repository lock. Dispatch —
+// which policies apply to a subject, operation or event — is answered
+// only by the compiled artifact: compile.Lookup registers the compiler
+// on a repository's first lookup if nobody did before.
 type Repository struct {
 	mu       sync.RWMutex
 	docs     map[string]*Document
 	compiler CompilerFunc
 	compiled atomic.Value // compiledBox; nil artifact until SetCompiler
-	revision atomic.Uint64
 }
 
 // compiledBox wraps the compiler artifact so atomic.Value always stores
@@ -69,16 +69,11 @@ func (r *Repository) Compiled() any {
 	return nil
 }
 
-// Revision returns a counter incremented on every published mutation
-// (load, unload, bundle replace). Zero means never mutated.
-func (r *Repository) Revision() uint64 { return r.revision.Load() }
-
 // recompileLocked runs the registered compiler over the current
 // (sorted) document set and publishes the artifact. Callers hold r.mu
 // and roll the document map back if this fails.
 func (r *Repository) recompileLocked() error {
 	if r.compiler == nil {
-		r.revision.Add(1)
 		return nil
 	}
 	docs := make([]*Document, 0, len(r.docs))
@@ -90,7 +85,6 @@ func (r *Repository) recompileLocked() error {
 		return err
 	}
 	r.compiled.Store(compiledBox{artifact: artifact})
-	r.revision.Add(1)
 	return nil
 }
 
@@ -190,117 +184,6 @@ func (r *Repository) Snapshot() []*Document {
 		out = append(out, r.docs[name])
 	}
 	return out
-}
-
-// Documents returns the loaded document names, sorted.
-func (r *Repository) Documents() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.docs))
-	for name := range r.docs {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Counts returns the number of loaded monitoring and adaptation
-// policies across all documents (health/status reporting).
-func (r *Repository) Counts() (monitoring, adaptation int) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for _, d := range r.docs {
-		monitoring += len(d.Monitoring)
-		adaptation += len(d.Adaptation)
-	}
-	return monitoring, adaptation
-}
-
-// ProtectionFor returns the first protection policy whose scope covers
-// the subject, in (document name, document order); nil when none
-// applies. Protection policies configure a whole VEP, so unlike
-// monitoring and adaptation policies they do not stack.
-func (r *Repository) ProtectionFor(subject string) *ProtectionPolicy {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for _, name := range r.docNamesLocked() {
-		for _, pp := range r.docs[name].Protection {
-			if pp.Scope.Matches(subject, "") {
-				return pp
-			}
-		}
-	}
-	return nil
-}
-
-// ProtectionCount returns the number of loaded protection policies.
-func (r *Repository) ProtectionCount() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	n := 0
-	for _, d := range r.docs {
-		n += len(d.Protection)
-	}
-	return n
-}
-
-// MonitoringFor returns the monitoring policies whose scope covers the
-// subject and operation, in (document name, document order).
-func (r *Repository) MonitoringFor(subject, operation string) []*MonitoringPolicy {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var out []*MonitoringPolicy
-	for _, name := range r.docNamesLocked() {
-		for _, mp := range r.docs[name].Monitoring {
-			if mp.Scope.Matches(subject, operation) {
-				out = append(out, mp)
-			}
-		}
-	}
-	return out
-}
-
-// AdaptationFor returns the adaptation policies triggered by the event
-// whose scope covers the event's subject, ordered by descending
-// priority (ties broken by name for determinism). The caller evaluates
-// each policy's Condition separately because condition evaluation needs
-// the message and variable context.
-func (r *Repository) AdaptationFor(e event.Event, subject string) []*AdaptationPolicy {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var out []*AdaptationPolicy
-	for _, name := range r.docNamesLocked() {
-		for _, ap := range r.docs[name].Adaptation {
-			if !ap.Trigger.Matches(e) {
-				continue
-			}
-			if !ap.Scope.Matches(subject, e.Operation) {
-				continue
-			}
-			out = append(out, ap)
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Priority != out[j].Priority {
-			return out[i].Priority > out[j].Priority
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
-}
-
-// AdaptationByName finds a policy by name across documents.
-func (r *Repository) AdaptationByName(name string) (*AdaptationPolicy, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for _, docName := range r.docNamesLocked() {
-		for _, ap := range r.docs[docName].Adaptation {
-			if ap.Name == name {
-				return ap, nil
-			}
-		}
-	}
-	return nil, fmt.Errorf("policy: no adaptation policy named %q", name)
 }
 
 func (r *Repository) docNamesLocked() []string {

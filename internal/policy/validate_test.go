@@ -145,7 +145,7 @@ func TestRepositoryLoadRejectsInvalid(t *testing.T) {
 	if err := r.Load(d); !errors.Is(err, ErrInvalid) {
 		t.Fatalf("err = %v", err)
 	}
-	if len(r.Documents()) != 0 {
+	if len(r.Snapshot()) != 0 {
 		t.Fatal("invalid document was stored")
 	}
 }
