@@ -147,7 +147,9 @@ type errorEnvelope struct {
 		Code        string `json:"code"`
 		Message     string `json:"message"`
 		Diagnostics []struct {
-			Code string `json:"code"`
+			Code     string `json:"code"`
+			Severity string `json:"severity"`
+			Message  string `json:"message"`
 		} `json:"diagnostics"`
 	} `json:"error"`
 }

@@ -217,6 +217,20 @@ func TestAPIPolicyPutInvalid(t *testing.T) {
 		t.Fatalf("status = %d envelope = %+v", hr.StatusCode, envl)
 	}
 
+	// A condition on a variable no site binds could never apply: 422,
+	// with an error diagnostic naming the variable.
+	hr = putPolicy(t, srv, "gateway-recovery", strings.Replace(blockingPolicies,
+		`<OnEvent type="fault.detected"/>`,
+		`<OnEvent type="fault.detected"/><Condition>$nosuch = 'x'</Condition>`, 1))
+	envl = errorEnvelope{}
+	decodeJSON(t, hr.Body, &envl)
+	hr.Body.Close()
+	if hr.StatusCode != http.StatusUnprocessableEntity || len(envl.Error.Diagnostics) != 1 ||
+		envl.Error.Diagnostics[0].Severity != "error" ||
+		!strings.Contains(envl.Error.Diagnostics[0].Message, "references $nosuch") {
+		t.Fatalf("unbound variable: status = %d envelope = %+v", hr.StatusCode, envl)
+	}
+
 	// A body whose document name disagrees with the path is a client
 	// error, not a validation failure.
 	hr = putPolicy(t, srv, "some-other-name", builtinPolicies(t, srv))

@@ -5,13 +5,15 @@
 // For each file it reports parse errors, consistency violations (the
 // checks the paper claims over RobustBPEL: layer coverage, action
 // ordering, trigger/kind coherence), and on success a summary of the
-// policies the document defines. It also warns — without failing — on
-// two classes of dead policy: adaptation policies whose OnEvent type
-// no middleware component ever publishes (the policy can never fire),
-// and messaging-layer adaptation policies shadowed by an unconditional
-// higher-priority sibling with the same (or broader) scope and
-// trigger, which the bus's first-match recovery always picks instead.
-// Exit status is non-zero if any file fails.
+// policies the document defines. A condition that references a
+// variable its evaluation site never binds fails the file. It also
+// warns — without failing — on two classes of dead policy: adaptation
+// policies whose OnEvent type no middleware component ever publishes
+// (the policy can never fire), and messaging-layer adaptation policies
+// shadowed by an ungated, Skip-ending higher-priority sibling with the
+// same (or broader) scope and trigger, which always handles the fault
+// before the bus's recovery reaches them. Exit status is non-zero if
+// any file fails.
 package main
 
 import (

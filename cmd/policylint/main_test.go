@@ -84,13 +84,14 @@ func TestLintWarnsOnDeadTrigger(t *testing.T) {
 }
 
 func TestLintWarnsOnShadowedPolicy(t *testing.T) {
-	// catch-all has higher priority, the same scope and trigger, and no
-	// gates, so the bus's first-match recovery never reaches specific.
+	// catch-all has higher priority, the same scope and trigger, no
+	// gates, and ends in a Skip that always handles the fault, so the
+	// bus's recovery never reaches specific.
 	path := write(t, "shadowed.xml", `
 <PolicyDocument xmlns="urn:masc:ws-policy4masc" name="shadowed">
   <AdaptationPolicy name="catch-all" subject="vep:S" priority="20">
     <OnEvent type="fault.detected"/>
-    <Actions><Retry maxAttempts="1"/></Actions>
+    <Actions><Retry maxAttempts="1"/><Skip/></Actions>
   </AdaptationPolicy>
   <AdaptationPolicy name="specific" subject="vep:S" priority="10">
     <OnEvent type="fault.detected" faultType="wsbus:Timeout"/>
@@ -122,6 +123,19 @@ func TestLintShadowLintExemptions(t *testing.T) {
   </AdaptationPolicy>
   <AdaptationPolicy name="fallback" subject="vep:S" priority="10">
     <OnEvent type="fault.detected"/>
+    <Actions><Substitute selection="first"/></Actions>
+  </AdaptationPolicy>
+</PolicyDocument>`,
+		// A winner whose actions can fail does not shadow: when its
+		// Retry fails, recovery falls through to the sibling.
+		"fallible winner": `
+<PolicyDocument xmlns="urn:masc:ws-policy4masc" name="ok">
+  <AdaptationPolicy name="catch-all" subject="vep:S" priority="20">
+    <OnEvent type="fault.detected"/>
+    <Actions><Retry maxAttempts="1"/></Actions>
+  </AdaptationPolicy>
+  <AdaptationPolicy name="specific" subject="vep:S" priority="10">
+    <OnEvent type="fault.detected" faultType="wsbus:Timeout"/>
     <Actions><Substitute selection="first"/></Actions>
   </AdaptationPolicy>
 </PolicyDocument>`,
@@ -160,6 +174,27 @@ func TestLintShadowLintExemptions(t *testing.T) {
 		if len(warnings) != 0 {
 			t.Fatalf("%s: unexpected warnings: %v", name, warnings)
 		}
+	}
+}
+
+func TestLintRejectsUnboundVariable(t *testing.T) {
+	// $nosuch is bound at no evaluation site, so the condition could
+	// only ever fail to evaluate; $target is one of the six every
+	// adaptation site binds.
+	path := write(t, "unbound.xml", `
+<PolicyDocument xmlns="urn:masc:ws-policy4masc" name="unbound">
+  <AdaptationPolicy name="typo" subject="vep:S" priority="1">
+    <OnEvent type="fault.detected"/>
+    <Condition>$target != '' and $nosuch = 'x'</Condition>
+    <Actions><Skip/></Actions>
+  </AdaptationPolicy>
+</PolicyDocument>`)
+	_, err := lint(path)
+	if err == nil {
+		t.Fatal("unbound variable accepted")
+	}
+	if !strings.Contains(err.Error(), "references $nosuch") || strings.Contains(err.Error(), "references $target") {
+		t.Fatalf("diagnostic does not name the unbound variable alone: %v", err)
 	}
 }
 

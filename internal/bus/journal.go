@@ -85,34 +85,6 @@ func (v *VEP) journalExchange(span *telemetry.Span, conv, op, target, outcome st
 	})
 }
 
-// auditAdaptation records the Adaptation Manager's decision — which
-// policy handled which classified fault, and the action's serving
-// target — into the audit trail (KindAudit).
-func (v *VEP) auditAdaptation(span *telemetry.Span, conv, policyName, faultType, op, failedTarget, servedBy string) {
-	j := v.bus.journal
-	if j == nil {
-		return
-	}
-	j.Record(telemetry.Entry{
-		Level:     telemetry.LevelWarn,
-		Kind:      telemetry.KindAudit,
-		Component: "bus",
-		Message: fmt.Sprintf("adaptation policy %s handled %s on %s/%s",
-			policyName, faultType, v.name, op),
-		Conversation: conv,
-		Trace:        span.TraceID(),
-		Span:         span.SpanID(),
-		Fields: map[string]string{
-			"vep":           v.name,
-			"policy":        policyName,
-			"fault_type":    faultType,
-			"operation":     op,
-			"failed_target": failedTarget,
-			"served_by":     servedBy,
-		},
-	})
-}
-
 // auditPrevention records a preventive/optimizing SLA adaptation (a
 // demotion or a selection-strategy switch) into the audit trail.
 func (v *VEP) auditPrevention(policyName, faultType, target, action string) {

@@ -18,7 +18,6 @@ import (
 	"github.com/masc-project/masc/internal/transport"
 	"github.com/masc-project/masc/internal/wsdl"
 	"github.com/masc-project/masc/internal/xmltree"
-	"github.com/masc-project/masc/internal/xpath"
 )
 
 // SubjectPrefix prefixes VEP names to form policy-attachment subjects
@@ -535,93 +534,91 @@ func (v *VEP) reportFault(op, target string, req, resp *soap.Envelope, err error
 	return monitor.ClassifyResponse(resp)
 }
 
-// correct runs the Adaptation Manager decision loop (§3.1(3)): find
-// the adaptation policies triggered by the classified fault (ordered
-// by priority), check their conditions and pre-states, and execute
-// their actions at the appropriate layer until one policy resolves the
-// fault. Returns the recovered response (with the serving target) or
-// the original failure.
+// errActionsFailed is the recorded outcome of a recovery policy that
+// ran without handling the fault.
+var errActionsFailed = errors.New("actions_failed")
+
+// correct is the Adaptation Manager's side of the ECA loop (§3.1(3)):
+// the adaptation policies triggered by the classified fault run in
+// priority order until one handles it — the recovery block of §3.1(4).
+// Returns the recovered response (with the serving target) or the
+// original failure.
 func (v *VEP) correct(ctx context.Context, req *soap.Envelope, op, failedTarget, faultType string,
 	origResp *soap.Envelope, origErr error) (*soap.Envelope, string, error) {
 
-	ev := event.Event{
-		Type:      event.TypeFaultDetected,
-		FaultType: faultType,
-		Operation: op,
-	}
-	repo := v.bus.policySource()
 	instanceID := soap.ProcessInstanceID(req)
-
-	for _, pol := range compile.Lookup(repo).AdaptationFor(ev, v.Subject()) {
-		start := v.bus.clk.Now()
-		ok, reason := v.policyApplies(pol, req, op, failedTarget, faultType, instanceID)
-		if !ok {
-			v.recordAdaptDecision(ctx, pol, req, op, faultType, instanceID, start,
-				decision.VerdictRejected, reason, "")
-			continue
-		}
-		resp, target, handled := v.executePolicy(ctx, pol.AdaptationPolicy, req, op, failedTarget, instanceID)
-		if !handled {
-			v.recordAdaptDecision(ctx, pol, req, op, faultType, instanceID, start,
-				decision.VerdictError, "", "actions_failed")
-			continue
-		}
-		if pol.StateAfter != "" && v.bus.procAdapter != nil && instanceID != "" {
-			v.bus.procAdapter.SetAdaptationState(instanceID, pol.StateAfter)
-		}
-		v.bus.met.adaptations.With(v.name, pol.Name).Inc()
-		span := telemetry.SpanFromContext(ctx)
-		span.Annotate("adaptation policy %s handled %s (served by %s)",
-			pol.Name, faultType, target)
-		v.auditAdaptation(span, ConversationIDOf(req), pol.Name, faultType, op, failedTarget, target)
-		v.publishAdaptation(pol.AdaptationPolicy, op, faultType, instanceID)
-		v.recordAdaptDecision(ctx, pol, req, op, faultType, instanceID, start,
-			decision.VerdictMatched, "", "served_by:"+target)
-		return resp, target, nil
-	}
-	return origResp, failedTarget, origErr
-}
-
-// recordAdaptDecision emits one provenance record for one messaging-
-// layer adaptation-policy evaluation in correct(), carrying the
-// trace/span of the mediation so the record joins the exchange's
-// trace and journal slice.
-func (v *VEP) recordAdaptDecision(ctx context.Context, pol *compile.CompiledAdaptation,
-	req *soap.Envelope, op, faultType, instanceID string, start time.Time,
-	verdict decision.Verdict, reason, outcome string) {
-
-	dec := v.bus.decisions
-	if dec == nil {
-		return
-	}
+	subject := v.Subject()
 	span := telemetry.SpanFromContext(ctx)
-	rec := decision.Record{
-		Time:         start,
-		Site:         decision.SiteBus,
-		PolicyType:   "adaptation",
-		Policy:       pol.Name,
-		Subject:      v.Subject(),
-		Operation:    op,
-		Instance:     instanceID,
-		Conversation: ConversationIDOf(req),
-		Trace:        span.TraceID(),
-		Span:         span.SpanID(),
-		Trigger:      string(event.TypeFaultDetected),
-		Verdict:      verdict,
-		Reason:       reason,
-		Outcome:      outcome,
-		Inputs: map[string]string{
-			"faultType":  faultType,
-			"operation":  op,
-			"instanceID": instanceID,
+	conv := ConversationIDOf(req)
+	var (
+		winner *compile.CompiledAdaptation
+		resp   *soap.Envelope
+		target string
+	)
+	site := compile.Site{
+		Root: req.View,
+		Execute: func(ca *compile.CompiledAdaptation) (string, bool, error) {
+			r, tgt, ok := v.executePolicy(ctx, ca.AdaptationPolicy, req, op, failedTarget, instanceID)
+			if !ok {
+				return "", false, errActionsFailed
+			}
+			winner, resp, target = ca, r, tgt
+			return "served_by:" + tgt, true, nil
 		},
-		Assertions: pol.GateAssertions(reason, pol.StateBefore),
-		Latency:    v.bus.clk.Since(start),
 	}
-	if verdict == decision.VerdictMatched || verdict == decision.VerdictError {
-		rec.Action = pol.ActionsJoined
+	if pa := v.bus.procAdapter; pa != nil && instanceID != "" {
+		site.State = func() (string, bool) {
+			// An instance the process layer does not know has no state: "".
+			state, _ := pa.AdaptationState(instanceID)
+			return state, true
+		}
+		site.SetState = func(state string) { pa.SetAdaptationState(instanceID, state) }
 	}
-	dec.Record(rec)
+	if mon := v.bus.monitor; mon != nil && mon.Store() != nil {
+		site.MessageCount = func() int { return mon.Store().CountForInstance(instanceID) }
+	}
+	compile.Adapt(v.bus.policySource(),
+		event.Event{Type: event.TypeFaultDetected, FaultType: faultType, Operation: op}, subject,
+		compile.Round{
+			Inputs:   compile.Inputs{FaultType: faultType, Target: failedTarget, Operation: op, InstanceID: instanceID},
+			Record:   decision.Record{Site: decision.SiteBus, Conversation: conv, Trace: span.TraceID(), Span: span.SpanID()},
+			Recorder: v.bus.decisions,
+			Clock:    v.bus.clk,
+		}, &site)
+	if winner == nil {
+		return origResp, failedTarget, origErr
+	}
+
+	v.bus.met.adaptations.With(v.name, winner.Name).Inc()
+	span.Annotate("adaptation policy %s handled %s (served by %s)", winner.Name, faultType, target)
+	if j := v.bus.journal; j != nil {
+		j.Record(telemetry.Entry{
+			Level:        telemetry.LevelWarn,
+			Kind:         telemetry.KindAudit,
+			Component:    "bus",
+			Message:      fmt.Sprintf("adaptation policy %s handled %s on %s/%s", winner.Name, faultType, v.name, op),
+			Conversation: conv,
+			Trace:        span.TraceID(),
+			Span:         span.SpanID(),
+			Fields: map[string]string{
+				"vep":           v.name,
+				"policy":        winner.Name,
+				"fault_type":    faultType,
+				"operation":     op,
+				"failed_target": failedTarget,
+				"served_by":     target,
+			},
+		})
+	}
+	v.bus.publish(compile.CompletedEvent(winner, event.Event{
+		Time:              v.bus.clk.Now(),
+		Source:            "wsbus/vep:" + v.name,
+		Service:           subject,
+		Operation:         op,
+		ProcessInstanceID: instanceID,
+		FaultType:         faultType,
+	}))
+	return resp, target, nil
 }
 
 // protectionName names the VEP's applied protection policy for
@@ -631,27 +628,6 @@ func (v *VEP) protectionName() string {
 		return pp.Name
 	}
 	return ""
-}
-
-// policyApplies reports whether a messaging-layer recovery policy's
-// gates hold; when they do not, the second return names the rejection
-// reason for the decision record.
-func (v *VEP) policyApplies(pol *compile.CompiledAdaptation, req *soap.Envelope, op, target, faultType, instanceID string) (bool, string) {
-	state, haveState := "", v.bus.procAdapter != nil && instanceID != ""
-	if haveState && pol.StateBefore != "" {
-		// An instance the process layer does not know has no state: "".
-		if s, ok := v.bus.procAdapter.AdaptationState(instanceID); ok {
-			state = s
-		}
-	}
-	return pol.Applies(state, haveState, func() (*xmltree.Element, xpath.Context) {
-		return req.View(), xpath.Context{Vars: map[string]xpath.Value{
-			"faultType":  xpath.String(faultType),
-			"target":     xpath.String(target),
-			"operation":  xpath.String(op),
-			"instanceID": xpath.String(instanceID),
-		}}
-	})
 }
 
 // executePolicy runs a policy's actions in order. It reports whether
@@ -830,26 +806,6 @@ func (v *VEP) skipResponse(op string) *soap.Envelope {
 	return soap.NewRequest(payload)
 }
 
-func (v *VEP) publishAdaptation(pol *policy.AdaptationPolicy, op, faultType, instanceID string) {
-	data := map[string]string{"layer": string(pol.Layer)}
-	if pol.BusinessValue != nil {
-		data["businessValueAmount"] = strconv.FormatFloat(pol.BusinessValue.Amount, 'g', -1, 64)
-		data["businessValueCurrency"] = pol.BusinessValue.Currency
-		data["businessValueReason"] = pol.BusinessValue.Reason
-	}
-	v.bus.publish(event.Event{
-		Type:              event.TypeAdaptationCompleted,
-		Time:              v.bus.clk.Now(),
-		Source:            "wsbus/vep:" + v.name,
-		Service:           v.Subject(),
-		Operation:         op,
-		ProcessInstanceID: instanceID,
-		FaultType:         faultType,
-		PolicyName:        pol.Name,
-		Data:              data,
-	})
-}
-
 // CheckQoSAndPrevent evaluates SLA thresholds for every registered
 // target and enacts preventive demotion policies on violations: a
 // policy triggered by sla.violation whose first action is Substitute
@@ -889,7 +845,12 @@ func (v *VEP) CheckQoSAndPrevent(demotion time.Duration) []monitor.Violation {
 				v.Demote(target, demotion)
 			}
 			v.auditPrevention(pol.Name, vs[0].FaultType, target, enacted)
-			v.publishAdaptation(pol.AdaptationPolicy, "", vs[0].FaultType, "")
+			v.bus.publish(compile.CompletedEvent(pol, event.Event{
+				Time:      v.bus.clk.Now(),
+				Source:    "wsbus/vep:" + v.name,
+				Service:   v.Subject(),
+				FaultType: vs[0].FaultType,
+			}))
 			if dec := v.bus.decisions; dec != nil {
 				dec.Record(decision.Record{
 					Time:       v.bus.clk.Now(),

@@ -21,14 +21,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 
 	"github.com/masc-project/masc/internal/bus"
 	"github.com/masc-project/masc/internal/clock"
 	"github.com/masc-project/masc/internal/event"
+	"github.com/masc-project/masc/internal/monitor"
 	"github.com/masc-project/masc/internal/policy"
 	"github.com/masc-project/masc/internal/policy/compile"
 	"github.com/masc-project/masc/internal/telemetry"
+	"github.com/masc-project/masc/internal/telemetry/decision"
 	"github.com/masc-project/masc/internal/workflow"
 	"github.com/masc-project/masc/internal/xmltree"
 	"github.com/masc-project/masc/internal/xpath"
@@ -48,6 +51,14 @@ type AdaptationService struct {
 	repo   *policy.Repository
 	events *event.Bus
 	clk    clock.Clock
+	// store is the MonitoringStore, so policy conditions can reference
+	// message history ($instanceMessageCount) — the paper's "situations
+	// when adaptation pre-conditions refer to several different SOAP
+	// messages" (§2.1).
+	store *monitor.Store
+	// decisions receives a provenance record of every adaptation-policy
+	// evaluation at both process-layer sites. Nil disables capture.
+	decisions *decision.Recorder
 
 	tel *telemetry.Telemetry
 	// procActions counts cross-layer process actions by outcome.
@@ -69,14 +80,17 @@ type AdaptationService struct {
 // process-action and customization counters and its trace annotations
 // on the adapted instance's span (no-ops with a nil tel). NewStack
 // registers it with the engine and the bus.
-func newAdaptationService(engine *workflow.Engine, repo *policy.Repository, events *event.Bus, clk clock.Clock, tel *telemetry.Telemetry) *AdaptationService {
+func newAdaptationService(engine *workflow.Engine, repo *policy.Repository, events *event.Bus,
+	store *monitor.Store, clk clock.Clock, tel *telemetry.Telemetry, rec *decision.Recorder) *AdaptationService {
 	r := tel.Registry()
 	return &AdaptationService{
-		engine: engine,
-		repo:   repo,
-		events: events,
-		clk:    clk,
-		tel:    tel,
+		engine:    engine,
+		repo:      repo,
+		events:    events,
+		clk:       clk,
+		store:     store,
+		decisions: rec,
+		tel:       tel,
 		procActions: r.Counter("masc_process_actions_total",
 			"Cross-layer process actions executed by outcome (ok, error).", "action", "outcome"),
 		customizations: r.Counter("masc_customizations_total",
@@ -140,29 +154,80 @@ func (s *AdaptationService) InstanceCreated(inst *workflow.Instance) {
 		ProcessInstanceID: inst.ID(),
 		Service:           inst.Definition(),
 	}
-	for _, pol := range compile.Lookup(s.repo).AdaptationFor(ev, inst.Definition()) {
-		applies, _ := pol.Applies(inst.AdaptationState(), true, func() (*xmltree.Element, xpath.Context) {
-			return inst.VarsDoc(), instanceXPathEnv(inst)
-		})
-		if !applies {
-			continue
+	s.adaptInstance(inst, ev, func(ca *compile.CompiledAdaptation, err error) {
+		if err != nil {
+			s.publishAdaptation(inst.ID(), ca, "static customization failed: "+err.Error(), false)
+			return
 		}
-		if err := s.CustomizeInstance(inst, pol.AdaptationPolicy); err != nil {
-			s.publishAdaptation(inst.ID(), pol.AdaptationPolicy, "static customization failed: "+err.Error())
-			continue
-		}
-		s.customizations.With(pol.Name, "static").Inc()
-		s.publishAdaptation(inst.ID(), pol.AdaptationPolicy, "static customization applied")
-	}
+		s.customizations.With(ca.Name, "static").Inc()
+		s.publishAdaptation(inst.ID(), ca, "static customization applied", true)
+	})
 }
 
-// CustomizeInstance applies a customization policy's process-layer
-// actions to an instance. For running instances it performs the
-// paper's dynamic protocol: request suspension, edit the (validated
-// transient copy of the) tree, resume. For created instances the edit
-// is applied directly (static customization).
-func (s *AdaptationService) CustomizeInstance(inst *workflow.Instance, pol *policy.AdaptationPolicy) error {
-	update, err := s.buildUpdate(pol.Actions)
+// adaptInstance is the process layer's side of the ECA loop, shared by
+// static customization and the decision maker: conditions see the
+// instance's state and its variables (or the triggering message), and
+// a policy that applies runs through the process executor (dispatch).
+func (s *AdaptationService) adaptInstance(inst *workflow.Instance, ev event.Event, enacted func(*compile.CompiledAdaptation, error)) {
+	site := compile.Site{
+		State:    func() (string, bool) { return inst.AdaptationState(), true },
+		SetState: inst.SetAdaptationState,
+		Root: func() *xmltree.Element {
+			// Conditions on message events evaluate against the
+			// intercepted message (the paper's "introspecting exchanged
+			// SOAP messages"); otherwise against the instance's variables.
+			if ev.Message != nil {
+				return ev.Message.View()
+			}
+			return inst.VarsDoc()
+		},
+		Execute: func(ca *compile.CompiledAdaptation) (string, bool, error) {
+			return "ok", false, s.dispatch(inst, ca.Actions)
+		},
+		Enacted: enacted,
+	}
+	if s.store != nil {
+		site.MessageCount = func() int { return s.store.CountForInstance(inst.ID()) }
+	}
+	compile.Adapt(s.repo, ev, inst.Definition(), compile.Round{
+		Inputs: compile.Inputs{FaultType: ev.FaultType, Target: ev.Data["target"],
+			Operation: ev.Operation, InstanceID: inst.ID()},
+		Record:   decision.Record{Site: decision.SiteDecision, Conversation: inst.ID()},
+		Recorder: s.decisions,
+		Clock:    s.clk,
+	}, &site)
+}
+
+// dispatch is the process executor: it runs a policy's actions in
+// order, batching consecutive structural edits into one tree update
+// (customize) and sending every other action through
+// ExecuteProcessAction.
+func (s *AdaptationService) dispatch(inst *workflow.Instance, actions []policy.Action) error {
+	var structural []policy.Action
+	for _, act := range actions {
+		switch act.(type) {
+		case policy.AddActivityAction, policy.RemoveActivityAction, policy.ReplaceActivityAction:
+			structural = append(structural, act)
+			continue
+		}
+		if err := s.customize(inst, structural); err != nil {
+			return err
+		}
+		structural = nil
+		if err := s.ExecuteProcessAction(context.Background(), inst.ID(), act); err != nil {
+			return err
+		}
+	}
+	return s.customize(inst, structural)
+}
+
+// customize applies structural actions to an instance. For running
+// instances it performs the paper's dynamic protocol: request
+// suspension, edit the (validated transient copy of the) tree, resume.
+// For created instances the edit is applied directly (static
+// customization).
+func (s *AdaptationService) customize(inst *workflow.Instance, actions []policy.Action) error {
+	update, err := s.buildUpdate(actions)
 	if err != nil {
 		return err
 	}
@@ -182,13 +247,7 @@ func (s *AdaptationService) CustomizeInstance(inst *workflow.Instance, pol *poli
 			applyErr = err
 		}
 	}
-	if applyErr != nil {
-		return applyErr
-	}
-	if pol.StateAfter != "" {
-		inst.SetAdaptationState(pol.StateAfter)
-	}
-	return nil
+	return applyErr
 }
 
 // buildUpdate translates policy actions into a workflow tree update.
@@ -219,6 +278,17 @@ func (s *AdaptationService) buildUpdate(actions []policy.Action) (*workflow.Tree
 		}
 	}
 	return u, nil
+}
+
+// compileVarPath turns a binding's source into an XPath over the
+// variables document: a bare variable name selects the variable's
+// content ("//name/*"); anything containing a path or expression
+// syntax is compiled verbatim.
+func compileVarPath(from string) (*xpath.Compiled, error) {
+	if !strings.ContainsAny(from, "/([@$") {
+		return xpath.Compile("//" + from + "/*")
+	}
+	return xpath.Compile(from)
 }
 
 // materialize resolves an inline spec or variation reference into an
@@ -336,8 +406,7 @@ func (s *AdaptationService) executeProcessAction(_ context.Context, instanceID s
 		}
 		return inst.AdjustInvokeTimeout(a.Activity, a.NewTimeout)
 	case policy.AddActivityAction, policy.RemoveActivityAction, policy.ReplaceActivityAction:
-		pol := &policy.AdaptationPolicy{Actions: []policy.Action{act}}
-		return s.CustomizeInstance(inst, pol)
+		return s.customize(inst, []policy.Action{act})
 	default:
 		return fmt.Errorf("core: unsupported process action %s", act.ActionName())
 	}
@@ -359,25 +428,25 @@ func (s *AdaptationService) SetAdaptationState(instanceID, state string) {
 	}
 }
 
-func (s *AdaptationService) publishAdaptation(instanceID string, pol *policy.AdaptationPolicy, detail string) {
+// publishAdaptation announces a policy the process layer ran. Only an
+// applied policy's event carries its business value, which the Ledger
+// books: a failed one enacted nothing.
+func (s *AdaptationService) publishAdaptation(instanceID string, ca *compile.CompiledAdaptation, detail string, applied bool) {
 	if s.events == nil {
 		return
 	}
-	data := map[string]string{"layer": string(pol.Layer)}
-	if pol.BusinessValue != nil {
-		data["businessValueAmount"] = fmt.Sprintf("%g", pol.BusinessValue.Amount)
-		data["businessValueCurrency"] = pol.BusinessValue.Currency
-		data["businessValueReason"] = pol.BusinessValue.Reason
-	}
-	s.events.Publish(event.Event{
+	e := event.Event{
 		Type:              event.TypeAdaptationCompleted,
 		Time:              s.clk.Now(),
 		Source:            "masc/adaptation",
 		ProcessInstanceID: instanceID,
-		PolicyName:        pol.Name,
+		PolicyName:        ca.Name,
 		Detail:            detail,
-		Data:              data,
-	})
+	}
+	if applied {
+		e = compile.CompletedEvent(ca, e)
+	}
+	s.events.Publish(e)
 }
 
 // Compile-time checks.

@@ -147,12 +147,11 @@ func NewStack(downstream transport.Invoker, opts ...StackOption) *Stack {
 		workflow.WithTelemetry(cfg.tel),
 	)
 
-	adapt := newAdaptationService(engine, cfg.repo, events, cfg.clk, cfg.tel)
+	adapt := newAdaptationService(engine, cfg.repo, events, b.Monitor().Store(), cfg.clk, cfg.tel, cfg.decisions)
 	engine.AddRuntimeService(adapt)
 	b.SetProcessAdapter(adapt)
 
-	decisions, unDecide := newDecisionMaker(engine, cfg.repo, adapt, events,
-		b.Monitor().Store(), cfg.tel, cfg.decisions)
+	decisions, unDecide := newDecisionMaker(adapt, events, cfg.tel)
 
 	ledger := NewLedger()
 	unLedger := ledger.Attach(events)

@@ -60,6 +60,12 @@ type Figure5Point struct {
 	OverheadPct float64
 }
 
+// The paper's 100 Mb/s LAN: ~80 µs/KB serialization, small base
+// latency (and 5% jitter); and the Retailer's processing cost.
+const figure5LinkBase, figure5LinkPerKB = 100 * time.Microsecond, 80 * time.Microsecond
+
+var figure5Service = simnet.ServiceProfile{Base: 200 * time.Microsecond, PerKB: 20 * time.Microsecond}
+
 // figure5Op builds one measured operation of the sweep.
 func figure5Op(invoker transport.Invoker, target, operation string, sizeKB int) loadgen.Op {
 	padding := sizeKB * 1024
@@ -100,10 +106,8 @@ func RunFigure5(cfg Figure5Config) ([]Figure5Point, error) {
 		return scm.Deploy(net, nil, scm.DeployConfig{
 			Retailers:    1,
 			InitialStock: 1 << 30,
-			// The paper's 100 Mb/s LAN: ~80 µs/KB serialization, small
-			// base latency, 5% jitter.
-			Link:    simnet.NewLinkProfile(100*time.Microsecond, 80*time.Microsecond, 0.05, cfg.Seed),
-			Service: simnet.ServiceProfile{Base: 200 * time.Microsecond, PerKB: 20 * time.Microsecond},
+			Link:         simnet.NewLinkProfile(figure5LinkBase, figure5LinkPerKB, 0.05, cfg.Seed),
+			Service:      figure5Service,
 		})
 	}
 

@@ -288,6 +288,42 @@ func TestCheckDocumentDiagnostics(t *testing.T) {
 	if len(cs.Diagnostics) != 1 {
 		t.Fatalf("set-level diagnostics = %+v", cs.Diagnostics)
 	}
+
+	// A variable its site never binds is an error naming the variable:
+	// the monitor binds $instanceID and $instanceMessageCount, the
+	// adaptation sites six names. A document loaded around
+	// CheckDocument still compiles, with no error in its status.
+	unbound := parseDoc(t, `
+<PolicyDocument xmlns="urn:masc:ws-policy4masc" name="unbound">
+  <MonitoringPolicy name="mon" subject="vep:X">
+    <PreCondition name="pre">$instanceMessageCount &lt; 9 and $faultType = ''</PreCondition>
+  </MonitoringPolicy>
+  <AdaptationPolicy name="adapt" priority="1" kind="correction">
+    <OnEvent type="fault.detected"/>
+    <Condition>$faultType != '' and $target != '' and $operation != '' and $instanceID != '' and $state = '' and $instanceMessageCount &gt;= 0 and $nosuch</Condition>
+    <Actions><Skip/></Actions>
+  </AdaptationPolicy>
+</PolicyDocument>`)
+	diags = compile.CheckDocument(unbound)
+	if len(diags) != 2 {
+		t.Fatalf("diagnostics = %+v, want two errors", diags)
+	}
+	for i, want := range []struct{ policy, assertion, variable string }{
+		{"mon", "pre", "$faultType"}, {"adapt", "", "$nosuch"},
+	} {
+		d := diags[i]
+		if d.Severity != compile.SeverityError || d.Policy != want.policy || d.Assertion != want.assertion ||
+			!strings.Contains(d.Message, "references "+want.variable+" ") {
+			t.Errorf("diagnostic %d = %+v, want an error naming %s in %s", i, d, want.variable, want.policy)
+		}
+	}
+	cs, err = compile.Compile([]*policy.Document{unbound})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds := cs.Doc("unbound"); len(ds.Diagnostics) != 0 {
+		t.Fatalf("compiled status carries %+v", ds.Diagnostics)
+	}
 }
 
 // TestLoadDir: the bundle loader reads *.xml transactionally.

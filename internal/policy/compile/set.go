@@ -65,10 +65,9 @@ type CompiledAdaptation struct {
 	ord           int
 }
 
-// Applies is the ECA applicability gate, shared by the bus recovery loop
-// and the process-layer decision maker: the subject's adaptation state
-// must equal StateBefore when the policy names one, then the relevance
-// condition must hold. haveState false means no process state is
+// Applies is the ECA applicability gate of Adapt: the subject's
+// adaptation state must equal StateBefore when the policy names one,
+// then the relevance condition must hold. haveState false means no process state is
 // reachable from the evaluation site. input supplies the condition's
 // root and variables and is called only when the policy has a
 // Condition. When the gate does not hold, reason is one of
@@ -99,8 +98,7 @@ func (ca *CompiledAdaptation) Applies(state string, haveState bool,
 
 // GateAssertions renders one Applies outcome as the decision record's
 // "state-before" and "condition" assertions. reason is what Applies
-// returned; stateValue is the value the site records for the state
-// gate (the bus records StateBefore, the decision maker the live state).
+// returned; stateValue is the state the gate observed.
 func (ca *CompiledAdaptation) GateAssertions(reason, stateValue string) []decision.Assertion {
 	stateFailed := reason == "state_mismatch" || reason == "no_process_state"
 	var checks []decision.Assertion

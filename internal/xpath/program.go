@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"regexp"
+	"slices"
 
 	"github.com/masc-project/masc/internal/xmltree"
 )
@@ -15,8 +16,12 @@ type progFn func(ev *evaluator, ctx evalPos) (Value, error)
 // lowerer lowers one syntax tree. err keeps the first node it has no
 // lowering for, which Compile reports: the parser builds only the
 // shapes below, so that is a parser defect, and an expression from a
-// policy or a process definition must not turn it into a panic.
-type lowerer struct{ err error }
+// policy or a process definition must not turn it into a panic. vars
+// collects the variable names the tree references, for Compiled.Vars.
+type lowerer struct {
+	err  error
+	vars []string
+}
 
 func (lw *lowerer) fail(err error) progFn {
 	if lw.err == nil {
@@ -35,6 +40,9 @@ func (lw *lowerer) expr(e expr) progFn {
 		return func(*evaluator, evalPos) (Value, error) { return v, nil }
 	case varExpr:
 		name := x.name
+		if !slices.Contains(lw.vars, name) {
+			lw.vars = append(lw.vars, name)
+		}
 		return func(ev *evaluator, _ evalPos) (Value, error) {
 			v, ok := ev.env.Vars[name]
 			if !ok {

@@ -25,6 +25,7 @@ package xpath
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -179,12 +180,18 @@ type Context struct {
 // literal matches() pattern); evaluation runs the pre-bound closures.
 // A Compiled is immutable and safe for concurrent use.
 type Compiled struct {
-	src string
-	fn  progFn
+	src  string
+	fn   progFn
+	vars []string
 }
 
 // Source returns the original expression text.
 func (c *Compiled) Source() string { return c.src }
+
+// Vars returns the names of the variables the expression references,
+// sorted, without the "$". Evaluating it with any of them unbound is an
+// error. The slice is shared: callers must not modify it.
+func (c *Compiled) Vars() []string { return c.vars }
 
 // Program returns c itself, which is already the lowered program. Its
 // only caller outside tests is the layer benchmark (benchmark/layers.go).
@@ -205,7 +212,8 @@ func Compile(src string) (*Compiled, error) {
 	if lw.err != nil {
 		return nil, fmt.Errorf("xpath: compile %q: %w", src, lw.err)
 	}
-	return &Compiled{src: src, fn: fn}, nil
+	slices.Sort(lw.vars)
+	return &Compiled{src: src, fn: fn, vars: lw.vars}, nil
 }
 
 // MustCompile is Compile that panics on error; for static expressions.

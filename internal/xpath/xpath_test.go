@@ -321,6 +321,18 @@ func TestVariables(t *testing.T) {
 	if _, err := c2.EvalContext(root, env); err == nil {
 		t.Fatal("undefined variable did not error")
 	}
+
+	// Vars lists each referenced name once, sorted, wherever it occurs.
+	c3 := MustCompile("count(//x[. = $who]) > $threshold or $who = 'a'")
+	if got := c3.Vars(); len(got) != 2 || got[0] != "threshold" || got[1] != "who" {
+		t.Fatalf("Vars = %q", got)
+	}
+	if got := c.Vars(); len(got) != 2 {
+		t.Fatalf("Vars = %q", got)
+	}
+	if got := MustCompile("//Amount > 1").Vars(); len(got) != 0 {
+		t.Fatalf("Vars of a variable-free expression = %q", got)
+	}
 }
 
 func TestUnion(t *testing.T) {
