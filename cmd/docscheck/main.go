@@ -1,5 +1,5 @@
-// Command docscheck keeps the documentation honest in CI. It has two
-// passes, both run from the repository root:
+// Command docscheck keeps the documentation and the code honest in CI.
+// It has three passes, all run from the repository root:
 //
 //  1. Markdown link check — every relative link target in docs/*.md
 //     and the top-level markdown files must exist on disk (external
@@ -8,6 +8,10 @@
 //     (the on-disk format's implementation, specified by
 //     docs/persistence.md) and internal/daemon (the assembly cmd/mascd
 //     and every test daemon share) must carry a doc comment.
+//  3. Linked or deleted — every function under internal/ is linked by a
+//     main package outside benchmark/, or named with a reason in
+//     cmd/docscheck/unlinked.txt (see linked.go). This pass builds
+//     those binaries, so it takes seconds with a warm build cache.
 //
 // Any finding prints as file: message and the process exits 1.
 package main
@@ -28,6 +32,7 @@ func main() {
 	problems = append(problems, checkLinks()...)
 	problems = append(problems, checkGodoc("internal/store")...)
 	problems = append(problems, checkGodoc("internal/daemon")...)
+	problems = append(problems, checkLinked()...)
 	for _, p := range problems {
 		fmt.Fprintln(os.Stderr, "docscheck:", p)
 	}

@@ -110,18 +110,6 @@ func WithPolicyRepository(repo *policy.Repository) Option {
 	return func(b *Bus) { b.repo = repo }
 }
 
-// WithQoSTracker supplies the QoS measurement service (one with an
-// unbounded window is created otherwise).
-func WithQoSTracker(t *qos.Tracker) Option {
-	return func(b *Bus) { b.tracker = t }
-}
-
-// WithMonitor supplies the monitoring service (one is built from the
-// repository, tracker, and event bus otherwise).
-func WithMonitor(m *monitor.Monitor) Option {
-	return func(b *Bus) { b.monitor = m }
-}
-
 // WithSeed seeds randomized selection strategies for reproducibility.
 func WithSeed(seed int64) Option {
 	return func(b *Bus) { b.seed = seed }
@@ -172,22 +160,18 @@ func New(downstream transport.Invoker, opts ...Option) *Bus {
 	if b.repo == nil {
 		b.repo = policy.NewRepository()
 	}
-	if b.tracker == nil {
-		b.tracker = qos.NewTracker(0, qos.WithClock(b.clk))
+	b.tracker = qos.NewTracker(0, qos.WithClock(b.clk))
+	monOpts := []monitor.Option{
+		monitor.WithClock(b.clk),
+		monitor.WithQoSTracker(b.tracker),
+		monitor.WithStore(monitor.NewStore(0)),
+		monitor.WithJournal(b.tel.Logs()),
+		monitor.WithDecisions(b.decisions),
 	}
-	if b.monitor == nil {
-		monOpts := []monitor.Option{
-			monitor.WithClock(b.clk),
-			monitor.WithQoSTracker(b.tracker),
-			monitor.WithStore(monitor.NewStore(0)),
-			monitor.WithJournal(b.tel.Logs()),
-			monitor.WithDecisions(b.decisions),
-		}
-		if b.events != nil {
-			monOpts = append(monOpts, monitor.WithEventBus(b.events))
-		}
-		b.monitor = monitor.New(b.repo, monOpts...)
+	if b.events != nil {
+		monOpts = append(monOpts, monitor.WithEventBus(b.events))
 	}
+	b.monitor = monitor.New(b.repo, monOpts...)
 	if b.policySource == nil {
 		repo := b.repo
 		b.policySource = func() *policy.Repository { return repo }
@@ -210,13 +194,6 @@ func (b *Bus) Tracker() *qos.Tracker { return b.tracker }
 
 // Monitor returns the monitoring service.
 func (b *Bus) Monitor() *monitor.Monitor { return b.monitor }
-
-// Decisions returns the decision-provenance recorder (nil when not
-// wired).
-func (b *Bus) Decisions() *decision.Recorder { return b.decisions }
-
-// Clock returns the bus time source.
-func (b *Bus) Clock() clock.Clock { return b.clk }
 
 // SetProcessAdapter installs the cross-layer adapter after
 // construction (the core wires itself in once the engine exists).

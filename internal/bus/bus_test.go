@@ -664,7 +664,10 @@ func TestPipelineModulesRun(t *testing.T) {
 	logger := NewMessageLogger(time.Now, 100)
 	v.Pipeline().Append(logger)
 	v.Pipeline().Append(&AdaptationModule{
-		RequestTransforms:  []Transform{AddElement(xmltree.NewText("urn:scm", "priority", "gold"))},
+		RequestTransforms: []Transform{func(p *xmltree.Element) error {
+			p.Append(xmltree.NewText("urn:scm", "priority", "gold"))
+			return nil
+		}},
 		ResponseTransforms: []Transform{RenameElements(map[string]string{"getCatalogResponse": "catalogue"})},
 	})
 
@@ -835,5 +838,56 @@ func TestVEPTimeoutClassifiedAndRecovered(t *testing.T) {
 	faults := rec.OfType(event.TypeFaultDetected)
 	if len(faults) != 1 || faults[0].FaultType != "TimeoutFault" {
 		t.Fatalf("fault events = %+v", faults)
+	}
+}
+
+func TestOptimizationPolicySwitchesSelection(t *testing.T) {
+	slow := &scriptedService{delay: 40 * time.Millisecond}
+	fast := &scriptedService{}
+	xml := `
+<PolicyDocument xmlns="urn:masc:ws-policy4masc" name="opt">
+  <MonitoringPolicy name="sla" subject="vep:Retailer">
+    <QoSThreshold metric="responseTime" maxResponse="10ms" minSamples="1"/>
+  </MonitoringPolicy>
+  <AdaptationPolicy name="optimize-routing" subject="vep:Retailer" priority="5" kind="optimization">
+    <OnEvent type="sla.violation"/>
+    <Actions><Substitute selection="bestResponseTime"/></Actions>
+  </AdaptationPolicy>
+</PolicyDocument>`
+	_, v, rec := testBus(t, xml, map[string]*scriptedService{
+		"inproc://a": slow, "inproc://b": fast,
+	}, VEPConfig{Selection: policy.SelectRoundRobin})
+
+	// Warm both targets so the best-QoS selector has data, breaching
+	// the SLA on the slow one.
+	for i := 0; i < 2; i++ {
+		if _, err := v.Invoke(context.Background(), "", catalogReq(t)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if vs := v.CheckQoSAndPrevent(time.Minute); len(vs) == 0 {
+		t.Fatal("SLA violation not detected")
+	}
+
+	// The optimizing policy switched the VEP from round-robin to
+	// best-response-time: all subsequent traffic goes to the fast target.
+	slowBefore := slow.count()
+	for i := 0; i < 4; i++ {
+		if _, err := v.Invoke(context.Background(), "", catalogReq(t)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if slow.count() != slowBefore {
+		t.Fatalf("slow target still selected after optimization (%d calls)", slow.count()-slowBefore)
+	}
+	adapts := rec.OfType("adaptation.completed")
+	found := false
+	for _, ev := range adapts {
+		if ev.PolicyName == "optimize-routing" {
+			found = true
+		}
+	}
+	if !found {
+		t.Fatalf("optimization adaptation not reported: %+v", adapts)
 	}
 }

@@ -95,7 +95,7 @@ func TestRecoveredExchangeJournalAndAudit(t *testing.T) {
 	if err != nil || resp.IsFault() {
 		t.Fatalf("resp=%v err=%v", resp, err)
 	}
-	root.End()
+	root.EndErr(nil)
 
 	j := tel.Logs()
 	msgs := j.Entries(telemetry.Query{Conversation: "proc-1", Kinds: []telemetry.Kind{telemetry.KindMessage}})
@@ -171,7 +171,7 @@ func TestTraceContextStampedOnDownstreamRequests(t *testing.T) {
 	if _, err := b.Invoke(ctx, "vep:Retailer", catalogReq(t)); err != nil {
 		t.Fatal(err)
 	}
-	root.End()
+	root.EndErr(nil)
 
 	if seenTrace != root.TraceID() || seenTrace == "" {
 		t.Fatalf("downstream saw trace %q, want %q", seenTrace, root.TraceID())

@@ -2,7 +2,6 @@ package bus
 
 import (
 	"fmt"
-	"regexp"
 	"sync"
 	"time"
 
@@ -10,7 +9,6 @@ import (
 	"github.com/masc-project/masc/internal/soap"
 	"github.com/masc-project/masc/internal/wsdl"
 	"github.com/masc-project/masc/internal/xmltree"
-	"github.com/masc-project/masc/internal/xpath"
 )
 
 // MessageContext travels through the processing pipeline with a
@@ -164,13 +162,6 @@ func (l *MessageLogger) log(mc *MessageContext, dir wsdl.Direction, env *soap.En
 	l.mu.Unlock()
 }
 
-// Entries returns a copy of the retained log.
-func (l *MessageLogger) Entries() []LogEntry {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.entries.Select(nil, 0)
-}
-
 // --- Contract validator ---
 
 // ValidatorModule validates messages against a WSDL contract in both
@@ -219,50 +210,6 @@ func RenameElements(renames map[string]string) Transform {
 	}
 }
 
-// AddElement returns a Transform appending a copy of el to the payload
-// root — the "attach additional data from external sources" pattern
-// with static data.
-func AddElement(el *xmltree.Element) Transform {
-	return func(payload *xmltree.Element) error {
-		payload.Append(el.Copy())
-		return nil
-	}
-}
-
-// EnrichFrom returns a Transform that appends data fetched per message
-// from an external source (e.g. a Web service call or database query).
-func EnrichFrom(source func(payload *xmltree.Element) (*xmltree.Element, error)) Transform {
-	return func(payload *xmltree.Element) error {
-		extra, err := source(payload)
-		if err != nil {
-			return fmt.Errorf("enrich: %w", err)
-		}
-		if extra != nil {
-			payload.Append(extra)
-		}
-		return nil
-	}
-}
-
-// RemoveElements returns a Transform deleting direct children by local
-// name.
-func RemoveElements(locals ...string) Transform {
-	drop := make(map[string]bool, len(locals))
-	for _, l := range locals {
-		drop[l] = true
-	}
-	return func(payload *xmltree.Element) error {
-		kept := payload.Children[:0]
-		for _, c := range payload.Children {
-			if !drop[c.Name.Local] {
-				kept = append(kept, c)
-			}
-		}
-		payload.Children = kept
-		return nil
-	}
-}
-
 // AdaptationModule applies transforms to requests and/or responses.
 type AdaptationModule struct {
 	// Name labels the module.
@@ -307,164 +254,4 @@ func (a *AdaptationModule) ProcessResponse(mc *MessageContext) error {
 		}
 	}
 	return nil
-}
-
-// --- Conditional wrapper ---
-
-// Rule decides whether a module applies to a message: "simple rules
-// expressed as a regular expression or XPath query against the header
-// or the payload of the message" (§3.1).
-type Rule interface {
-	// Applies reports whether the rule matches the message.
-	Applies(env *soap.Envelope) (bool, error)
-}
-
-// XPathRule matches when a compiled XPath evaluates true over the
-// message envelope.
-type XPathRule struct {
-	Expr *xpath.Compiled
-}
-
-var _ Rule = (*XPathRule)(nil)
-
-// Applies implements Rule.
-func (r *XPathRule) Applies(env *soap.Envelope) (bool, error) {
-	if env == nil {
-		return false, nil
-	}
-	return r.Expr.EvalBool(env.View(), xpath.Context{})
-}
-
-// RegexRule matches when a regular expression matches the serialized
-// message.
-type RegexRule struct {
-	Pattern *regexp.Regexp
-}
-
-var _ Rule = (*RegexRule)(nil)
-
-// Applies implements Rule.
-func (r *RegexRule) Applies(env *soap.Envelope) (bool, error) {
-	if env == nil {
-		return false, nil
-	}
-	text, err := env.Encode()
-	if err != nil {
-		return false, err
-	}
-	return r.Pattern.MatchString(text), nil
-}
-
-// ConditionalModule gates an inner module behind a rule evaluated on
-// the request message.
-type ConditionalModule struct {
-	// Rule guards the inner module.
-	Rule Rule
-	// Inner is the wrapped module.
-	Inner Module
-}
-
-var _ Module = (*ConditionalModule)(nil)
-
-// ModuleName implements Module.
-func (c *ConditionalModule) ModuleName() string {
-	return "If(" + c.Inner.ModuleName() + ")"
-}
-
-// ProcessRequest implements Module.
-func (c *ConditionalModule) ProcessRequest(mc *MessageContext) error {
-	ok, err := c.Rule.Applies(mc.Request)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return nil
-	}
-	if mc.Meta == nil {
-		mc.Meta = make(map[string]string)
-	}
-	mc.Meta["conditional:"+c.Inner.ModuleName()] = "applied"
-	return c.Inner.ProcessRequest(mc)
-}
-
-// ProcessResponse implements Module: the inner module's response stage
-// runs only when its request stage applied (same message flow).
-func (c *ConditionalModule) ProcessResponse(mc *MessageContext) error {
-	if mc.Meta["conditional:"+c.Inner.ModuleName()] != "applied" {
-		return nil
-	}
-	return c.Inner.ProcessResponse(mc)
-}
-
-// --- Aggregator ---
-
-// Aggregator buffers payload elements and flushes them as a single
-// merged message once the batch size is reached — the "buffer multiple
-// messages and aggregate them into a single one before sending them to
-// the destination service" transformation pattern (§3.1(6)).
-// Aggregator is safe for concurrent use.
-type Aggregator struct {
-	batch   int
-	wrapper xmltree.Name
-
-	mu     sync.Mutex
-	buffer []*xmltree.Element
-}
-
-// NewAggregator builds an aggregator flushing every batch payloads into
-// a wrapper element with the given namespace and local name.
-func NewAggregator(batch int, space, local string) *Aggregator {
-	if batch < 1 {
-		batch = 1
-	}
-	return &Aggregator{batch: batch, wrapper: xmltree.Name{Space: space, Local: local}}
-}
-
-// Add buffers a payload copy; when the batch is full it returns the
-// merged payload and true.
-func (a *Aggregator) Add(payload *xmltree.Element) (*xmltree.Element, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.buffer = append(a.buffer, payload.Copy())
-	if len(a.buffer) < a.batch {
-		return nil, false
-	}
-	return a.flushLocked(), true
-}
-
-// Flush returns the merged payload of whatever is buffered (nil when
-// empty).
-func (a *Aggregator) Flush() *xmltree.Element {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if len(a.buffer) == 0 {
-		return nil
-	}
-	return a.flushLocked()
-}
-
-func (a *Aggregator) flushLocked() *xmltree.Element {
-	merged := xmltree.New(a.wrapper.Space, a.wrapper.Local)
-	for _, p := range a.buffer {
-		merged.Append(p)
-	}
-	a.buffer = nil
-	return merged
-}
-
-// Pending reports how many payloads are buffered.
-func (a *Aggregator) Pending() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.buffer)
-}
-
-// Split divides a batch payload back into its child payloads — the
-// inverse of aggregation ("split/merge messages").
-func Split(batch *xmltree.Element) []*xmltree.Element {
-	out := make([]*xmltree.Element, 0, len(batch.Children))
-	for _, c := range batch.Children {
-		out = append(out, c.Copy())
-	}
-	return out
 }

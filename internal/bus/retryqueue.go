@@ -97,14 +97,6 @@ func (q *DeadLetterQueue) enforceCapLocked() {
 	q.droppedCounter.Add(uint64(drop))
 }
 
-// Dropped reports how many dead letters were evicted to stay within
-// the capacity bound.
-func (q *DeadLetterQueue) Dropped() uint64 {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.dropped
-}
-
 // Letters returns a copy of the queue contents.
 func (q *DeadLetterQueue) Letters() []DeadLetter {
 	q.mu.Lock()
@@ -230,13 +222,6 @@ func NewRetryQueue(cfg RetryQueueConfig) *RetryQueue {
 
 // DLQ returns the dead-letter queue.
 func (q *RetryQueue) DLQ() *DeadLetterQueue { return q.dlq }
-
-// Pending reports how many messages await (re)delivery.
-func (q *RetryQueue) Pending() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.pending)
-}
 
 // Enqueue schedules a message for delivery. The returned channel
 // receives the final outcome (nil on delivered, the last error on

@@ -139,7 +139,7 @@ func TestTelemetryTraceAnnotations(t *testing.T) {
 	if err != nil || resp.IsFault() {
 		t.Fatalf("resp=%v err=%v", resp, err)
 	}
-	root.End()
+	root.EndErr(nil)
 
 	traces := tel.Tracer.Traces()
 	if len(traces) != 1 {

@@ -114,13 +114,6 @@ func (f *Fake) Advance(d time.Duration) {
 	f.mu.Unlock()
 }
 
-// AdvanceTo moves the clock forward to t. Moving backwards is a no-op.
-func (f *Fake) AdvanceTo(t time.Time) {
-	f.mu.Lock()
-	f.advanceToLocked(t)
-	f.mu.Unlock()
-}
-
 func (f *Fake) advanceToLocked(target time.Time) {
 	if target.Before(f.now) {
 		return

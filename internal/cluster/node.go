@@ -149,9 +149,6 @@ func (n *Node) selfInfo() NodeInfo {
 // ID returns the local node identity.
 func (n *Node) ID() string { return n.cfg.NodeID }
 
-// Ring exposes the routing ring (for status and tests).
-func (n *Node) Ring() *Ring { return n.ring }
-
 // Membership exposes the failure detector (for mounting the
 // heartbeat handler and for status).
 func (n *Node) Membership() *Membership { return n.mem }

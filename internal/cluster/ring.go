@@ -17,7 +17,6 @@
 package cluster
 
 import (
-	"fmt"
 	"hash/fnv"
 	"sort"
 	"strconv"
@@ -97,28 +96,6 @@ func (r *Ring) Add(node string) {
 	sort.Slice(r.points, func(a, b int) bool { return r.points[a].hash < r.points[b].hash })
 }
 
-// Remove deletes a member's vnodes. Removing an absent member is a
-// no-op. Note that failover does NOT remove dead members — their
-// shard is reassigned wholesale via the takeover rule so the heir
-// (which replicated the dead node's WAL) owns exactly the dead node's
-// keys; Remove is for planned topology changes, where the minimal-
-// movement property matters instead.
-func (r *Ring) Remove(node string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.nodes[node] {
-		return
-	}
-	delete(r.nodes, node)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.node != node {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-}
-
 // Owner returns the member owning key (the first vnode at or
 // clockwise of the key's hash). An empty ring owns nothing and
 // returns "".
@@ -148,13 +125,6 @@ func (r *Ring) Members() []string {
 	return out
 }
 
-// Size reports the member count.
-func (r *Ring) Size() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.nodes)
-}
-
 // Successor returns the next live member after node in sorted-ID
 // order, wrapping around and skipping members named in skip — the
 // deterministic takeover rule: when a member dies, its shard (and its
@@ -179,11 +149,4 @@ func Successor(members []string, node string, skip map[string]bool) string {
 		}
 	}
 	return live[0]
-}
-
-// String renders the ring's shape for logs and status pages.
-func (r *Ring) String() string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return fmt.Sprintf("ring(%d members, %d vnodes each)", len(r.nodes), r.vnodes)
 }

@@ -73,7 +73,7 @@ func runDifferentialWorkload(t *testing.T) []decision.Record {
 	echo := func(req *soap.Envelope) *xmltree.Element {
 		resp := xmltree.New("urn:t", "doWorkResponse")
 		amount := "0"
-		if a := req.Payload.Find(func(e *xmltree.Element) bool { return e.Name.Local == "Amount" }); a != nil {
+		if a := req.Payload.Child("", "Amount"); a != nil {
 			amount = a.DeepText()
 		}
 		resp.Append(xmltree.NewText("urn:t", "Result", amount))

@@ -8,7 +8,6 @@ import (
 	"github.com/masc-project/masc/internal/policy"
 	"github.com/masc-project/masc/internal/qos"
 	"github.com/masc-project/masc/internal/registry"
-	"github.com/masc-project/masc/internal/store"
 	"github.com/masc-project/masc/internal/telemetry"
 	"github.com/masc-project/masc/internal/telemetry/decision"
 	"github.com/masc-project/masc/internal/transport"
@@ -59,22 +58,11 @@ type stackConfig struct {
 	seed      int64
 	tel       *telemetry.Telemetry
 	decisions *decision.Recorder
-	store     *store.Store
-}
-
-// WithClock injects the time source used by every component.
-func WithClock(clk clock.Clock) StackOption {
-	return func(c *stackConfig) { c.clk = clk }
 }
 
 // WithPolicyRepository supplies a pre-loaded repository.
 func WithPolicyRepository(repo *policy.Repository) StackOption {
 	return func(c *stackConfig) { c.repo = repo }
-}
-
-// WithSeed seeds randomized strategies.
-func WithSeed(seed int64) StackOption {
-	return func(c *stackConfig) { c.seed = seed }
 }
 
 // WithDecisionRecorder wires one decision-provenance recorder through
@@ -90,12 +78,6 @@ func WithDecisionRecorder(rec *decision.Recorder) StackOption {
 // bus tap turning cross-layer events into trace annotations.
 func WithTelemetry(tel *telemetry.Telemetry) StackOption {
 	return func(c *stackConfig) { c.tel = tel }
-}
-
-// WithStore gives the bus a durable store, so its retry queues and
-// dead-letter queues survive a restart. Nil leaves them in memory.
-func WithStore(st *store.Store) StackOption {
-	return func(c *stackConfig) { c.store = st }
 }
 
 // NewStack assembles the middleware over a downstream transport
@@ -122,7 +104,6 @@ func NewStack(downstream transport.Invoker, opts ...StackOption) *Stack {
 		bus.WithSeed(cfg.seed),
 		bus.WithTelemetry(cfg.tel),
 		bus.WithDecisions(cfg.decisions),
-		bus.WithStore(cfg.store),
 	)
 	tracker := b.Tracker()
 
@@ -184,9 +165,6 @@ func (s *Stack) Close() {
 	}
 	s.Adaptation.Close()
 }
-
-// Clock returns the stack's time source.
-func (s *Stack) Clock() clock.Clock { return s.clk }
 
 // LoadPolicies parses and loads a WS-Policy4MASC document into the
 // shared repository.

@@ -138,14 +138,13 @@ func New(cfg Config) (_ *Daemon, err error) {
 	if err := compile.Enable(repo, compile.Options{Registry: tel.Registry(), Journal: tel.Logs()}); err != nil {
 		return nil, err
 	}
+	var docs []*policy.Document
 	if cfg.PolicyDir != "" {
 		bundle, err := compile.LoadDir(cfg.PolicyDir)
 		if err != nil {
 			return nil, err
 		}
-		if err := repo.ReplaceAll(bundle.Docs); err != nil {
-			return nil, err
-		}
+		docs = bundle.Docs
 	} else {
 		policyXML := defaultPolicies
 		if cfg.Policies != "" {
@@ -155,9 +154,17 @@ func New(cfg Config) (_ *Daemon, err error) {
 			}
 			policyXML = string(raw)
 		}
-		if _, err := repo.LoadXML(policyXML); err != nil {
+		doc, err := policy.ParseString(policyXML)
+		if err != nil {
 			return nil, err
 		}
+		docs = []*policy.Document{doc}
+	}
+	if diags := checkDocuments(docs); len(diags) > 0 {
+		return nil, fmt.Errorf("policies rejected: %v", diags)
+	}
+	if err := repo.ReplaceAll(docs); err != nil {
+		return nil, err
 	}
 
 	// Decision provenance: every policy-evaluation site records into
@@ -197,8 +204,7 @@ func New(cfg Config) (_ *Daemon, err error) {
 	d.stack = core.NewStack(network,
 		core.WithPolicyRepository(repo),
 		core.WithTelemetry(tel),
-		core.WithDecisionRecorder(dec),
-		core.WithStore(d.st))
+		core.WithDecisionRecorder(dec))
 	if _, err := d.stack.Bus.CreateVEP(bus.VEPConfig{
 		Name:      "Retailer",
 		Services:  deployment.RetailerAddrs,
@@ -244,8 +250,8 @@ func New(cfg Config) (_ *Daemon, err error) {
 	}
 
 	// Process layer: the OrderingProcess composition runs over the
-	// gateway; with a data dir its instances (and the retry queue / DLQ)
-	// survive restarts, and interrupted instances are rebuilt here.
+	// gateway; with a data dir its instances survive restarts, and
+	// interrupted instances are rebuilt here.
 	if err := d.setupWorkflow(); err != nil {
 		return nil, err
 	}

@@ -338,6 +338,28 @@ func TestNewFailsCleanly(t *testing.T) {
 			t.Errorf("%s: New succeeded", name)
 		}
 	}
+	// Boot runs the compiler's error checks, as reload does: a condition
+	// naming an unbound variable fails New, and the error names the
+	// document and the variable.
+	unbound := `<PolicyDocument xmlns="urn:masc:ws-policy4masc" name="unbound-doc">
+  <AdaptationPolicy name="retry-nosuch" subject="vep:Retailer" priority="10" kind="correction">
+    <OnEvent type="fault.detected"/>
+    <Condition>$nosuch = 'x'</Condition>
+    <Actions><Retry maxAttempts="1"/></Actions>
+  </AdaptationPolicy>
+</PolicyDocument>`
+	for name, cfg := range map[string]Config{
+		"unbound variable in -policy-dir": {PolicyDir: filepath.Dir(write("unbound/unbound.xml", unbound))},
+		"unbound variable in -policies":   {Policies: write("unbound.xml", unbound)},
+	} {
+		d, err := New(cfg)
+		if err == nil {
+			d.Close()
+			t.Errorf("%s: New succeeded", name)
+		} else if msg := err.Error(); !strings.Contains(msg, `"unbound-doc"`) || !strings.Contains(msg, "$nosuch") {
+			t.Errorf("%s: error %q must name the document and the variable", name, msg)
+		}
+	}
 	if err := os.Remove(blocked); err != nil {
 		t.Fatal(err)
 	}

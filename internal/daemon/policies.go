@@ -250,16 +250,7 @@ func (d *Daemon) policyReload(w http.ResponseWriter, r *http.Request) {
 		}})
 		return
 	}
-	var diags []compile.Diagnostic
-	for _, doc := range bundle.Docs {
-		for _, diag := range compile.CheckDocument(doc) {
-			if diag.Severity == compile.SeverityError {
-				diag.Message = fmt.Sprintf("document %q: %s", doc.Name, diag.Message)
-				diags = append(diags, diag)
-			}
-		}
-	}
-	if len(diags) > 0 {
+	if diags := checkDocuments(bundle.Docs); len(diags) > 0 {
 		d.auditPolicyChange(r, "reload", d.policyDir, "rejected: validation failed")
 		writeJSON(w, http.StatusUnprocessableEntity, errorEnvelope{Error: errorBody{
 			Code:        telemetry.ErrorCode(http.StatusUnprocessableEntity),
@@ -281,4 +272,21 @@ func (d *Daemon) policyReload(w http.ResponseWriter, r *http.Request) {
 	d.auditPolicyChange(r, "reload", d.policyDir,
 		fmt.Sprintf("published revision %s (%d documents)", page.Revision, len(page.Documents)))
 	writeJSON(w, http.StatusOK, page)
+}
+
+// checkDocuments returns the error-severity diagnostics that
+// compile.CheckDocument finds in docs, each prefixed with its
+// document's name. Boot and reload refuse a set that has any, so a
+// condition naming an unbound variable never reaches the dispatcher.
+func checkDocuments(docs []*policy.Document) []compile.Diagnostic {
+	var diags []compile.Diagnostic
+	for _, doc := range docs {
+		for _, diag := range compile.CheckDocument(doc) {
+			if diag.Severity == compile.SeverityError {
+				diag.Message = fmt.Sprintf("document %q: %s", doc.Name, diag.Message)
+				diags = append(diags, diag)
+			}
+		}
+	}
+	return diags
 }

@@ -223,15 +223,6 @@ func (r *Recorder) Attach(b *Bus) (unsubscribe func()) {
 	})
 }
 
-// Events returns a copy of the recorded events.
-func (r *Recorder) Events() []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Event, len(r.events))
-	copy(out, r.events)
-	return out
-}
-
 // OfType returns recorded events of the given type.
 func (r *Recorder) OfType(t Type) []Event {
 	r.mu.Lock()
@@ -243,11 +234,4 @@ func (r *Recorder) OfType(t Type) []Event {
 		}
 	}
 	return out
-}
-
-// Reset clears recorded events.
-func (r *Recorder) Reset() {
-	r.mu.Lock()
-	r.events = nil
-	r.mu.Unlock()
 }

@@ -152,15 +152,10 @@ func compileAssertions(src []*policy.Assertion, in interner) []*CompiledAssertio
 }
 
 func (s *CompiledSet) addAdaptation(doc string, ap *policy.AdaptationPolicy, in interner, ord int) {
-	names := policy.ActionNames(ap.Actions)
-	for i, n := range names {
-		names[i] = in.intern(n)
-	}
 	ca := &CompiledAdaptation{
 		AdaptationPolicy: ap,
 		Doc:              in.intern(doc),
-		ActionNames:      names,
-		ActionsJoined:    decision.JoinActions(names),
+		ActionsJoined:    decision.JoinActions(policy.ActionNames(ap.Actions)),
 		ord:              ord,
 	}
 	if ap.Trigger.EventType == "" {

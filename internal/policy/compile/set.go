@@ -48,19 +48,17 @@ type CompiledMonitoring struct {
 	ord              int
 }
 
-// CompiledAdaptation is one adaptation ECA rule with its action
-// descriptors pre-resolved; its relevance condition is the source
-// policy's, lowered when the policy was parsed. The source
-// policy is embedded: dispatchers keep reading Name, Priority, Actions,
-// StateBefore/After, BusinessValue and Layer exactly as before.
+// CompiledAdaptation is one adaptation ECA rule with its action label
+// pre-joined; its relevance condition is the source policy's, lowered
+// when the policy was parsed. The source policy is embedded:
+// dispatchers keep reading Name, Priority, Actions, StateBefore/After,
+// BusinessValue and Layer exactly as before.
 type CompiledAdaptation struct {
 	*policy.AdaptationPolicy
 	// Doc names the owning document.
 	Doc string
-	// ActionNames are the pre-resolved action element names, in order.
-	ActionNames []string
 	// ActionsJoined is the pre-joined decision-record action label
-	// (decision.JoinActions of ActionNames).
+	// (decision.JoinActions of the action element names, in order).
 	ActionsJoined string
 	ord           int
 }
@@ -215,9 +213,6 @@ func (s *CompiledSet) Docs() []*DocStatus {
 	}
 	return out
 }
-
-// Doc returns the named document's status, or nil.
-func (s *CompiledSet) Doc(name string) *DocStatus { return s.docs[name] }
 
 // Counts returns the number of compiled monitoring, adaptation, and
 // protection policies across the whole set.

@@ -33,15 +33,6 @@ func ParseString(s string) (*Document, error) {
 	return Parse(strings.NewReader(s))
 }
 
-// MustParseString parses or panics; for embedded static policies.
-func MustParseString(s string) *Document {
-	d, err := ParseString(s)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
 // FromXML converts a parsed XML tree into a Document.
 func FromXML(root *xmltree.Element) (*Document, error) {
 	if root.Name.Local != "PolicyDocument" || (root.Name.Space != Namespace && root.Name.Space != "") {

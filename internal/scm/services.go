@@ -115,13 +115,6 @@ func (m *Manufacturer) Serve(_ context.Context, req *soap.Envelope) (*soap.Envel
 	return soap.NewRequest(resp), nil
 }
 
-// Received reports the total quantity ordered for a SKU.
-func (m *Manufacturer) Received(sku string) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.received[sku]
-}
-
 // Warehouse manages stock for the catalog: "when an item in a
 // Warehouse stock falls below a certain threshold, the Warehouse must
 // restock the item from the Manufacturer's inventory" (§3.2).

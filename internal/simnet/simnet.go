@@ -37,12 +37,6 @@ func NewLinkProfile(base, perKB time.Duration, jitterFrac float64, seed int64) *
 	}
 }
 
-// LAN100Mb approximates the paper's testbed link: ~0.3 ms base latency
-// and ~80 µs per KB (100 Mb/s ≈ 12.5 MB/s ≈ 80 µs/KB), 5% jitter.
-func LAN100Mb(seed int64) *LinkProfile {
-	return NewLinkProfile(300*time.Microsecond, 80*time.Microsecond, 0.05, seed)
-}
-
 // Delay computes the transfer delay for a message of size bytes.
 func (l *LinkProfile) Delay(sizeBytes int) time.Duration {
 	d := l.BaseLatency + time.Duration(float64(l.PerKB)*float64(sizeBytes)/1024)

@@ -106,7 +106,7 @@ func TestDecodeOwnsItsTree(t *testing.T) {
 	if !xmltree.Equal(root, before) {
 		t.Fatal("FromXML changed, or shares nodes with, the document it was given")
 	}
-	if env2.Payload.Parent() != nil || root.Path("Body", "getCatalog").Parent() == nil {
+	if env2.Payload.Parent() != nil || root.Child("", "Body").Child("", "getCatalog").Parent() == nil {
 		t.Fatal("FromXML must copy: the envelope's payload is parentless, the document's is not")
 	}
 }

@@ -65,9 +65,6 @@ func (f *Fault) Error() string {
 	return fmt.Sprintf("soap fault [%s]: %s", f.Code, f.String)
 }
 
-// IsServerFault reports whether the fault is a Server (retriable) fault.
-func (f *Fault) IsServerFault() bool { return f.Code == FaultServer }
-
 // NewRequest builds an envelope carrying payload with the given
 // WS-Addressing action and a fresh message ID left for the caller to
 // assign via Addressing.
@@ -104,22 +101,6 @@ func (e *Envelope) SetHeader(block *xmltree.Element) {
 		}
 	}
 	e.Headers = append(e.Headers, block)
-}
-
-// RemoveHeader deletes header blocks with the given expanded name and
-// reports whether any were removed.
-func (e *Envelope) RemoveHeader(space, local string) bool {
-	removed := false
-	kept := e.Headers[:0]
-	for _, h := range e.Headers {
-		if h.Name.Space == space && h.Name.Local == local {
-			removed = true
-			continue
-		}
-		kept = append(kept, h)
-	}
-	e.Headers = kept
-	return removed
 }
 
 // Clone returns a deep copy of the envelope. wsBus uses this for the
@@ -251,13 +232,6 @@ func Decode(text string) (*Envelope, error) {
 		return nil, fmt.Errorf("soap: decode: %w", err)
 	}
 	return adopt(root)
-}
-
-// FromXML converts a parsed document into an Envelope. The envelope
-// holds copies — the document is copied once, in Copy's three slabs,
-// and the copy is taken apart; root is left as it was.
-func FromXML(root *xmltree.Element) (*Envelope, error) {
-	return adopt(root.Copy())
 }
 
 // adopt reads the envelope out of a document the caller gives up: the

@@ -43,8 +43,8 @@ type Quote struct {
 
 // StockNotification serves "the current stock values and real-time
 // market surveillance, announcements, quotes" the analysis service
-// consumes. Quotes are updated via SetQuote (the push notifications of
-// Fig. 2 simplified to pull).
+// consumes. Quotes are fixed at construction, and tests change them
+// with SetQuote (the push notifications of Fig. 2 simplified to pull).
 type StockNotification struct {
 	mu     sync.Mutex
 	quotes map[string]Quote
@@ -65,13 +65,6 @@ func NewStockNotification() *StockNotification {
 		s.quotes[q.Symbol] = q
 	}
 	return s
-}
-
-// SetQuote updates one stock's state.
-func (s *StockNotification) SetQuote(q Quote) {
-	s.mu.Lock()
-	s.quotes[q.Symbol] = q
-	s.mu.Unlock()
 }
 
 // Serve implements transport.Handler (operation getQuotes).
@@ -308,15 +301,6 @@ func (l *LedgerService) Serve(_ context.Context, req *soap.Envelope) (*soap.Enve
 	resp := xmltree.New(Namespace, l.Operation+"Response")
 	resp.Append(xmltree.NewText(Namespace, "status", "ok"))
 	return soap.NewRequest(resp), nil
-}
-
-// Records returns recorded trade IDs.
-func (l *LedgerService) Records() []string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]string, len(l.records))
-	copy(out, l.records)
-	return out
 }
 
 // CurrencyConversion converts foreign stock prices to the local

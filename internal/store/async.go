@@ -136,13 +136,6 @@ func (c *AsyncCommitter) BarrierDurable() error {
 	return c.st.WaitDurable()
 }
 
-// Lag reports how many mutations are enqueued but not yet applied.
-func (c *AsyncCommitter) Lag() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return int(c.enqueued - c.applied)
-}
-
 // Close drains the queue and stops the worker. Subsequent Enqueue
 // calls return ErrClosed. Close is idempotent.
 func (c *AsyncCommitter) Close() {

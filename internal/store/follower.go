@@ -350,17 +350,6 @@ func (f *Follower) resyncFromSnapshot() error {
 	return f.openSegment()
 }
 
-// Position returns the replica's durable cursor.
-func (f *Follower) Position() (segment uint64, offset int64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.pos.Segment, f.pos.Offset
-}
-
-// Dir returns the replica directory (the argument to Open on
-// promotion).
-func (f *Follower) Dir() string { return f.dir }
-
 // Stop halts replication and closes the replica files. The replica
 // directory stays valid for promotion via Open.
 func (f *Follower) Stop() {

@@ -450,13 +450,6 @@ func (s *Store) List(space string) map[string][]byte {
 	return out
 }
 
-// Len reports the number of live keys in a space.
-func (s *Store) Len(space string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.mem[space])
-}
-
 func (s *Store) mutate(rec record) error {
 	s.mu.Lock()
 	if s.closed {
@@ -676,36 +669,12 @@ func (s *Store) flushBatch() {
 	s.mu.Unlock()
 }
 
-// Sync forces an fsync of the active segment regardless of mode.
-func (s *Store) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	s.awaitFlushLocked()
-	err := s.fsyncLocked()
-	s.markSyncedLocked()
-	return err
-}
-
 // maybeSnapshotLocked triggers an automatic snapshot when enough
 // records accumulated since the last one.
 func (s *Store) maybeSnapshotLocked() {
 	if s.opts.SnapshotEvery > 0 && s.sinceSnap >= s.opts.SnapshotEvery {
 		_ = s.snapshotLocked()
 	}
-}
-
-// Snapshot writes the full state to a new snapshot file and compacts
-// away the WAL segments it covers.
-func (s *Store) Snapshot() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	return s.snapshotLocked()
 }
 
 func (s *Store) snapshotLocked() error {

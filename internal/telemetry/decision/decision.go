@@ -264,15 +264,6 @@ func (r *Recorder) Len() int {
 	return r.ring.Len()
 }
 
-// Counts reports total evaluations and matched verdicts recorded so
-// far (across all sites), for benchmark read-back.
-func (r *Recorder) Counts() (evaluations, matches uint64) {
-	if r == nil {
-		return 0, 0
-	}
-	return r.evaluations.Total(), r.matches.Total()
-}
-
 // Query filters Records. Zero fields match everything; Limit bounds
 // the result to the newest Limit matches (default and maximum applied
 // by callers, not here).

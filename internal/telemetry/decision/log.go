@@ -1,7 +1,6 @@
 package decision
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -114,9 +113,6 @@ func OpenLog(dir string, opts LogOptions) (*Log, error) {
 	go l.run()
 	return l, nil
 }
-
-// Dir reports the directory the log writes to.
-func (l *Log) Dir() string { return l.dir }
 
 // Append offers one record to the log without blocking; when the
 // queue is full (or the log is closed) the record is dropped and
@@ -246,26 +242,4 @@ func truncateTornTail(path string) error {
 	}
 	cut := bytes.LastIndexByte(data, '\n') + 1
 	return os.Truncate(path, int64(cut))
-}
-
-// ReadLog reads every decision record durably written under dir, in
-// append order across segments. Torn or malformed lines are skipped.
-func ReadLog(dir string) ([]Record, error) {
-	var out []Record
-	for _, idx := range listSegments(dir) {
-		f, err := os.Open(filepath.Join(dir, fmt.Sprintf(segPattern, idx)))
-		if err != nil {
-			return out, err
-		}
-		sc := bufio.NewScanner(f)
-		sc.Buffer(make([]byte, 0, 64<<10), 4<<20)
-		for sc.Scan() {
-			var rec Record
-			if err := json.Unmarshal(sc.Bytes(), &rec); err == nil {
-				out = append(out, rec)
-			}
-		}
-		f.Close()
-	}
-	return out, nil
 }

@@ -191,10 +191,6 @@ func (s *Span) Annotate(format string, args ...interface{}) {
 	s.mu.Unlock()
 }
 
-// End completes the span. Ending a trace's root span commits the trace
-// to the tracer's ring buffer. End is idempotent.
-func (s *Span) End() { s.EndErr(nil) }
-
 // EndErr completes the span, recording err (when non-nil) as the span's
 // error.
 func (s *Span) EndErr(err error) {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -36,12 +35,6 @@ type endpoint struct {
 
 // NetworkOption configures a Network.
 type NetworkOption func(*Network)
-
-// WithClock injects the time source used for delays. Defaults to the
-// real clock.
-func WithClock(clk clock.Clock) NetworkOption {
-	return func(n *Network) { n.clk = clk }
-}
 
 // NewNetwork builds an empty in-process network.
 func NewNetwork(opts ...NetworkOption) *Network {
@@ -92,18 +85,6 @@ func (n *Network) Unregister(addr string) {
 	n.mu.Lock()
 	delete(n.endpoints, addr)
 	n.mu.Unlock()
-}
-
-// Addresses returns the registered addresses, sorted.
-func (n *Network) Addresses() []string {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	out := make([]string, 0, len(n.endpoints))
-	for a := range n.endpoints {
-		out = append(out, a)
-	}
-	sort.Strings(out)
-	return out
 }
 
 var _ Invoker = (*Network)(nil)

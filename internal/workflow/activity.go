@@ -90,13 +90,6 @@ func (s *Sequence) Name() string { return s.name }
 // Kind implements Activity.
 func (s *Sequence) Kind() string { return "sequence" }
 
-// Children returns the child activities (read-only view).
-func (s *Sequence) Children() []Activity {
-	out := make([]Activity, len(s.children))
-	copy(out, s.children)
-	return out
-}
-
 // Clone implements Activity.
 func (s *Sequence) Clone() Activity {
 	cp := &Sequence{name: s.name, children: make([]Activity, len(s.children))}
@@ -545,12 +538,6 @@ func (i *Invoke) Name() string { return i.name }
 
 // Kind implements Activity.
 func (i *Invoke) Kind() string { return "invoke" }
-
-// Operation returns the invoked operation name.
-func (i *Invoke) Operation() string { return i.operation }
-
-// Endpoint returns the static endpoint address ("" if dynamic).
-func (i *Invoke) Endpoint() string { return i.endpoint }
 
 // Timeout returns the current timeout interval.
 func (i *Invoke) Timeout() time.Duration { return time.Duration(i.timeoutNS.Load()) }

@@ -228,12 +228,6 @@ func NewEngine(invoker transport.Invoker, opts ...EngineOption) *Engine {
 	return e
 }
 
-// Clock returns the engine's time source.
-func (e *Engine) Clock() clock.Clock { return e.clk }
-
-// Telemetry returns the engine's telemetry hub (nil when not wired).
-func (e *Engine) Telemetry() *telemetry.Telemetry { return e.tel }
-
 // AddRuntimeService registers a runtime-service hook. Services added
 // after instances exist only see subsequent instances' events.
 func (e *Engine) AddRuntimeService(svc RuntimeService) {

@@ -146,15 +146,9 @@ func (p *PersistenceService) CheckpointEvents(id string) []CheckpointEvent {
 var _ RuntimeService = (*PersistenceService)(nil)
 var _ InstanceUpdateObserver = (*PersistenceService)(nil)
 
-// NewPersistenceService builds a persistence service journaling into
-// st with default options. Telemetry (optional) records checkpoint
-// outcomes and the recovered-instance gauge.
-func NewPersistenceService(st *store.Store, tel *telemetry.Telemetry) *PersistenceService {
-	return NewPersistenceServiceWith(st, tel, PersistenceOptions{})
-}
-
-// NewPersistenceServiceWith is NewPersistenceService with explicit
-// pipeline options.
+// NewPersistenceServiceWith builds a persistence service journaling
+// into st with the given pipeline options. Telemetry (optional) records
+// checkpoint outcomes and the recovered-instance gauge.
 func NewPersistenceServiceWith(st *store.Store, tel *telemetry.Telemetry, opts PersistenceOptions) *PersistenceService {
 	opts.fill()
 	reg := tel.Registry()
@@ -356,23 +350,6 @@ func (p *PersistenceService) dropChain(id string) {
 	p.chainsMu.Lock()
 	delete(p.chains, id)
 	p.chainsMu.Unlock()
-}
-
-// Forget removes an instance's durable record (e.g. after an operator
-// acknowledges a completed instance). On the async path the delete is
-// ordered behind any queued checkpoints for the instance.
-func (p *PersistenceService) Forget(id string) error {
-	p.dropChain(id)
-	if p.committer != nil {
-		if err := p.committer.Enqueue(store.Mutation{
-			Op: store.MutDelete, Space: SpaceInstances, Key: id,
-		}); err != nil {
-			return err
-		}
-		p.committer.Barrier()
-		return nil
-	}
-	return p.st.Delete(SpaceInstances, id)
 }
 
 // ExportXML renders an instance's stored checkpoint chain as the

@@ -122,52 +122,6 @@ func ActivityToXML(a Activity) *xmltree.Element {
 	}
 }
 
-// DefinitionToXML serializes a definition, the inverse of
-// ParseDefinition.
-func DefinitionToXML(d *Definition) *xmltree.Element {
-	root := xmltree.New(Namespace, "process")
-	root.SetAttr("", "name", d.Name())
-	if vars := d.Variables(); len(vars) > 0 {
-		vs := xmltree.New(Namespace, "variables")
-		for _, v := range vars {
-			ve := xmltree.New(Namespace, "variable")
-			ve.SetAttr("", "name", v)
-			vs.Append(ve)
-		}
-		root.Append(vs)
-	}
-	root.Append(ActivityToXML(d.Root()))
-	return root
-}
-
-// Snapshot captures a quiescent instance's full state — its (possibly
-// customized) activity tree, variables, completion marks, and
-// adaptation state — as an XML document, realizing the WF built-in
-// Persistence runtime service (§2.1). The instance must be suspended,
-// created, or finished; a free-running instance cannot be snapshotted
-// consistently.
-func (in *Instance) Snapshot() (*xmltree.Element, error) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	quiescent := in.state == StateCreated || in.state == StateSuspended || in.state.Terminal()
-	if !quiescent {
-		return nil, fmt.Errorf("%w: instance %s is %s; suspend before snapshotting", ErrBadState, in.id, in.state)
-	}
-	return in.snapshotLocked(), nil
-}
-
-// CheckpointXML captures the instance's state without requiring
-// quiescence. Unlike Snapshot it may run while the instance executes;
-// the result is consistent as of the moment the instance lock is held
-// — the persistence runtime service calls it from activity-boundary
-// hooks, where the captured completion marks always describe a
-// resumable position.
-func (in *Instance) CheckpointXML() *xmltree.Element {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.snapshotLocked()
-}
-
 func (in *Instance) snapshotLocked() *xmltree.Element {
 	root := xmltree.New(Namespace, "instanceSnapshot")
 	root.SetAttr("", "id", in.id)

@@ -690,9 +690,9 @@ func TestVarsDocShape(t *testing.T) {
 		"order": el(t, `<placeOrder><Amount>5</Amount></placeOrder>`),
 	})
 	doc := inst.VarsDoc()
-	got, err := xpath.MustCompile("//order/placeOrder/Amount").EvalString(doc, xpath.Context{})
-	if err != nil || got != "5" {
-		t.Fatalf("vars doc path = %q err=%v", got, err)
+	got, err := xpath.MustCompile("//order/placeOrder/Amount").EvalContext(doc, xpath.Context{})
+	if err != nil || got.String() != "5" {
+		t.Fatalf("vars doc path = %v err=%v", got, err)
 	}
 	inst.Terminate()
 }

@@ -2,8 +2,6 @@ package wsdl
 
 import (
 	"fmt"
-	"io"
-	"strings"
 
 	"github.com/masc-project/masc/internal/xmltree"
 )
@@ -57,22 +55,12 @@ func (c *Contract) Encode() (string, error) {
 	return xmltree.MarshalString(c.ToXML())
 }
 
-// ParseContract reads a serialized contract.
-func ParseContract(r io.Reader) (*Contract, error) {
-	root, err := xmltree.Parse(r)
+// ParseContractString parses a serialized contract.
+func ParseContractString(s string) (*Contract, error) {
+	root, err := xmltree.ParseString(s)
 	if err != nil {
 		return nil, fmt.Errorf("wsdl: parse contract: %w", err)
 	}
-	return ContractFromXML(root)
-}
-
-// ParseContractString parses a contract from text.
-func ParseContractString(s string) (*Contract, error) {
-	return ParseContract(strings.NewReader(s))
-}
-
-// ContractFromXML converts a parsed document into a Contract.
-func ContractFromXML(root *xmltree.Element) (*Contract, error) {
 	if root.Name.Local != "contract" {
 		return nil, fmt.Errorf("wsdl: root element is %q, want contract", root.Name.Local)
 	}

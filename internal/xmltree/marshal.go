@@ -1,19 +1,10 @@
 package xmltree
 
 import (
-	"io"
 	"strconv"
 	"strings"
 	"unicode/utf8"
 )
-
-// Marshal serializes the subtree rooted at e as a standalone XML
-// document fragment. Namespace prefixes are generated deterministically
-// (document order of first use) and declared on the root element.
-func Marshal(w io.Writer, e *Element) error {
-	_, err := io.WriteString(w, marshal(e))
-	return err
-}
 
 // MarshalString serializes e and returns the result as a string. The
 // error is always nil.

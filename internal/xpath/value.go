@@ -225,12 +225,6 @@ func MustCompile(src string) *Compiled {
 	return c
 }
 
-// Eval evaluates the expression with root as both the context node and
-// the document root, using an empty Context.
-func (c *Compiled) Eval(root *xmltree.Element) (Value, error) {
-	return c.EvalContext(root, Context{})
-}
-
 // EvalContext evaluates the expression against root with the given
 // environment.
 func (c *Compiled) EvalContext(root *xmltree.Element, env Context) (Value, error) {
@@ -245,36 +239,4 @@ func (c *Compiled) EvalBool(root *xmltree.Element, env Context) (bool, error) {
 		return false, err
 	}
 	return v.Bool(), nil
-}
-
-// EvalString is a convenience wrapper returning the string value.
-func (c *Compiled) EvalString(root *xmltree.Element, env Context) (string, error) {
-	v, err := c.EvalContext(root, env)
-	if err != nil {
-		return "", err
-	}
-	return v.String(), nil
-}
-
-// EvalNumber is a convenience wrapper returning the numeric value.
-func (c *Compiled) EvalNumber(root *xmltree.Element, env Context) (float64, error) {
-	v, err := c.EvalContext(root, env)
-	if err != nil {
-		return 0, err
-	}
-	return v.Number(), nil
-}
-
-// EvalNodes evaluates and returns the node-set result, or an error if
-// the expression does not yield a node-set.
-func (c *Compiled) EvalNodes(root *xmltree.Element, env Context) (NodeSet, error) {
-	v, err := c.EvalContext(root, env)
-	if err != nil {
-		return nil, err
-	}
-	ns, ok := v.(NodeSet)
-	if !ok {
-		return nil, fmt.Errorf("xpath: %q evaluates to %T, not a node-set", c.src, v)
-	}
-	return ns, nil
 }
