@@ -35,14 +35,14 @@ const benchRecoveryPolicies = `
   </AdaptationPolicy>
 </PolicyDocument>`
 
-// benchSCM deploys four retailers; faulty==true gives retailer 0 the
-// Table 1 outage profile.
+// benchSCM deploys four retailers; faulty==true gives retailer 0 random
+// outages: up for a mean of 200 of its requests, then down for 20.
 func benchSCM(b *testing.B, faulty bool) *scm.Deployment {
 	b.Helper()
 	net := transport.NewNetwork()
 	cfg := scm.DeployConfig{Retailers: 4}
 	if faulty {
-		inj := faultinject.NewRandomOutages(time.Now(), 20*time.Millisecond, 2*time.Millisecond, 42)
+		inj := faultinject.NewRandomOutages(200, 20, 42)
 		inj.SetFailureLatency(100 * time.Microsecond)
 		cfg.RetailerInjectors = map[int]faultinject.Injector{0: inj}
 	}

@@ -45,14 +45,14 @@ func main() {
 }
 
 func run() error {
-	// Four retailers; A and D crash-loop at random times.
+	// Four retailers; A and D crash-loop at random: up for a mean of 40
+	// (A) or 50 (D) of their requests, then down for a mean of 6.
 	network := transport.NewNetwork()
-	origin := time.Now()
 	deployment, err := scm.Deploy(network, nil, scm.DeployConfig{
 		Retailers: 4,
 		RetailerInjectors: map[int]faultinject.Injector{
-			0: faultinject.NewRandomOutages(origin, 20*time.Millisecond, 3*time.Millisecond, 1),
-			3: faultinject.NewRandomOutages(origin, 25*time.Millisecond, 3*time.Millisecond, 2),
+			0: faultinject.NewRandomOutages(40, 6, 1),
+			3: faultinject.NewRandomOutages(50, 6, 2),
 		},
 	})
 	if err != nil {

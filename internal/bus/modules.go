@@ -98,7 +98,6 @@ type LogEntry struct {
 	Direction  wsdl.Direction
 	InstanceID string
 	Fault      bool
-	Size       int
 }
 
 // MessageLogger is the Message Logger handler: "to log the messages as
@@ -143,10 +142,6 @@ func (l *MessageLogger) log(mc *MessageContext, dir wsdl.Direction, env *soap.En
 	if env == nil {
 		return
 	}
-	size := 0
-	if text, err := env.Encode(); err == nil {
-		size = len(text)
-	}
 	e := LogEntry{
 		Time:       l.now(),
 		VEP:        mc.VEP,
@@ -155,7 +150,6 @@ func (l *MessageLogger) log(mc *MessageContext, dir wsdl.Direction, env *soap.En
 		Direction:  dir,
 		InstanceID: soap.ProcessInstanceID(env),
 		Fault:      env.IsFault(),
-		Size:       size,
 	}
 	l.mu.Lock()
 	l.entries.Push(e)

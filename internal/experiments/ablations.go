@@ -32,53 +32,78 @@ func RunRetrySweep(cfg Table1Config) ([]RetrySweepPoint, error) {
 	var points []RetrySweepPoint
 	for _, failover := range []bool{false, true} {
 		for attempts := 0; attempts <= 4; attempts++ {
-			d, err := buildSCM(cfg)
+			p, err := runRetryPoint(cfg, attempts, failover)
 			if err != nil {
 				return nil, err
 			}
-			repo := policy.NewRepository()
-			actions := ""
-			if attempts > 0 {
-				actions += fmt.Sprintf(`<Retry maxAttempts="%d" delay="500us"/>`, attempts)
-			}
-			if failover {
-				actions += `<Substitute selection="bestResponseTime"/>`
-			}
-			if actions == "" {
-				actions = `<Retry maxAttempts="0"/>` // policy needs >=1 action
-			}
-			doc := fmt.Sprintf(`
-<PolicyDocument xmlns="urn:masc:ws-policy4masc" name="sweep">
+			points = append(points, p)
+		}
+	}
+	return points, nil
+}
+
+// runRetryPoint measures one retry budget. Without failover it runs one
+// client: each request's retries then follow it back to back at its
+// round-robin retailer, so the seed alone fixes which requests fail.
+// With failover, bestResponseTime picks by measured timings anyway.
+func runRetryPoint(cfg Table1Config, attempts int, failover bool) (RetrySweepPoint, error) {
+	d, err := buildSCM(cfg)
+	if err != nil {
+		return RetrySweepPoint{}, err
+	}
+	actions := ""
+	if attempts > 0 {
+		actions += fmt.Sprintf(`<Retry maxAttempts="%d" delay="500us"/>`, attempts)
+	}
+	if failover {
+		actions += `<Substitute selection="bestResponseTime"/>`
+	}
+	if actions == "" {
+		actions = `<Retry maxAttempts="0"/>` // policy needs >=1 action
+	}
+	b, err := recoveryBus(d, cfg.Seed, actions)
+	if err != nil {
+		return RetrySweepPoint{}, err
+	}
+	clients := 1
+	if failover {
+		clients = cfg.Clients
+	}
+	lg := loadgen.Config{Clients: clients, RequestsPerClient: cfg.Requests / clients}
+	s := loadgen.Run(context.Background(), lg, catalogOp(b, "vep:Retailer"))
+	return RetrySweepPoint{
+		MaxAttempts:     attempts,
+		Failover:        failover,
+		FailuresPer1000: s.FailuresPer1000,
+		MeanRTT:         s.Mean,
+	}, nil
+}
+
+// recoveryBus builds a wsBus over d whose Retailer VEP (round-robin
+// over every retailer) recovers from faults with the given actions.
+func recoveryBus(d *scm.Deployment, seed int64, actions string) (*bus.Bus, error) {
+	repo := policy.NewRepository()
+	if _, err := repo.LoadXML(fmt.Sprintf(`
+<PolicyDocument xmlns="urn:masc:ws-policy4masc" name="recovery">
   <AdaptationPolicy name="recover" subject="vep:Retailer" priority="5">
     <OnEvent type="fault.detected"/>
     <Actions>%s</Actions>
   </AdaptationPolicy>
-</PolicyDocument>`, actions)
-			if _, err := repo.LoadXML(doc); err != nil {
-				return nil, err
-			}
-			tel := telemetry.New(8)
-			b := bus.New(d.Net, bus.WithPolicyRepository(repo), bus.WithSeed(cfg.Seed), bus.WithTelemetry(tel))
-			if _, err := b.CreateVEP(bus.VEPConfig{
-				Name:          "Retailer",
-				Services:      d.RetailerAddrs,
-				Contract:      scm.RetailerContract(),
-				Selection:     policy.SelectRoundRobin,
-				InvokeTimeout: 2 * time.Second,
-			}); err != nil {
-				return nil, err
-			}
-			lg := loadgen.Config{Clients: cfg.Clients, RequestsPerClient: cfg.Requests / cfg.Clients}
-			s := loadgen.Run(context.Background(), lg, catalogOp(b, "vep:Retailer"))
-			points = append(points, RetrySweepPoint{
-				MaxAttempts:     attempts,
-				Failover:        failover,
-				FailuresPer1000: s.FailuresPer1000,
-				MeanRTT:         s.Mean,
-			})
-		}
+</PolicyDocument>`, actions)); err != nil {
+		return nil, err
 	}
-	return points, nil
+	tel := telemetry.New(8)
+	b := bus.New(d.Net, bus.WithPolicyRepository(repo), bus.WithSeed(seed), bus.WithTelemetry(tel))
+	if _, err := b.CreateVEP(bus.VEPConfig{
+		Name:          "Retailer",
+		Services:      d.RetailerAddrs,
+		Contract:      scm.RetailerContract(),
+		Selection:     policy.SelectRoundRobin,
+		InvokeTimeout: 2 * time.Second,
+	}); err != nil {
+		return nil, err
+	}
+	return b, nil
 }
 
 // SelectionPoint compares selection/recovery strategies under the
@@ -109,26 +134,8 @@ func RunSelectionComparison(cfg Table1Config) ([]SelectionPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		repo := policy.NewRepository()
-		doc := fmt.Sprintf(`
-<PolicyDocument xmlns="urn:masc:ws-policy4masc" name="sel">
-  <AdaptationPolicy name="recover" subject="vep:Retailer" priority="5">
-    <OnEvent type="fault.detected"/>
-    <Actions>%s</Actions>
-  </AdaptationPolicy>
-</PolicyDocument>`, st.actions)
-		if _, err := repo.LoadXML(doc); err != nil {
-			return nil, err
-		}
-		tel := telemetry.New(8)
-		b := bus.New(d.Net, bus.WithPolicyRepository(repo), bus.WithSeed(cfg.Seed), bus.WithTelemetry(tel))
-		if _, err := b.CreateVEP(bus.VEPConfig{
-			Name:          "Retailer",
-			Services:      d.RetailerAddrs,
-			Contract:      scm.RetailerContract(),
-			Selection:     policy.SelectRoundRobin,
-			InvokeTimeout: 2 * time.Second,
-		}); err != nil {
+		b, err := recoveryBus(d, cfg.Seed, st.actions)
+		if err != nil {
 			return nil, err
 		}
 		lg := loadgen.Config{Clients: cfg.Clients, RequestsPerClient: cfg.Requests / cfg.Clients}
@@ -253,7 +260,7 @@ func RunListenerAblation(cfg ThroughputConfig) ([]ListenerPoint, error) {
 	cfg.fill()
 	run := func(mode string, workers int) (ListenerPoint, error) {
 		d, err := buildSCM(Table1Config{Requests: 1, Clients: 1, Seed: cfg.Seed,
-			OutageFractions: []float64{0}, MeanDown: time.Millisecond})
+			OutageFractions: []float64{0}})
 		if err != nil {
 			return ListenerPoint{}, err
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/masc-project/masc/internal/faultinject"
 	"github.com/masc-project/masc/internal/scm"
 	"github.com/masc-project/masc/internal/simnet"
 	"github.com/masc-project/masc/internal/soap"
@@ -36,8 +37,8 @@ func TestTable1Shape(t *testing.T) {
 	// Direct failure rates roughly track the injected fractions
 	// (A=10.5%, B=8.1%, C=1.7%, D=9.1%) within generous bounds. The
 	// lower bound only applies to the lossy retailers: C's outages are
-	// so rare (MTBF ≈ 1.4 s at this scale) that a short run may
-	// legitimately see none.
+	// so rare (a mean up run of about 460 requests) that a short run
+	// may legitimately see none.
 	fractions := []float64{0.105, 0.081, 0.017, 0.091}
 	for i, r := range direct {
 		want := fractions[i] * 1000
@@ -167,11 +168,15 @@ func (s *sizer) Invoke(ctx context.Context, addr string, env *soap.Envelope) (*s
 	return resp, nil
 }
 
+// TestThroughputShape: every request of every point is served, direct
+// and through the bus. The rates are wall-clock readings that swing
+// with whatever else the box runs, so they are logged, not compared.
 func TestThroughputShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("throughput sweep")
 	}
-	points, err := RunThroughput(ThroughputConfig{Concurrency: []int{1, 4}, RequestsPerClient: 80, Seed: 7})
+	cfg := ThroughputConfig{Concurrency: []int{1, 4}, RequestsPerClient: 80, Seed: 7}
+	points, err := RunThroughput(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,16 +184,91 @@ func TestThroughputShape(t *testing.T) {
 		t.Fatalf("points = %d", len(points))
 	}
 	for _, p := range points {
-		if p.DirectRPS <= 0 || p.BusRPS <= 0 {
-			t.Fatalf("non-positive throughput: %+v", p)
+		if want := p.Concurrency * cfg.RequestsPerClient; p.Requests != want || p.Failures != 0 {
+			t.Errorf("%d clients: %d requests per mode (want %d), %d failures", p.Concurrency, p.Requests, want, p.Failures)
 		}
 	}
-	// More clients → more total throughput in both modes (closed loop
-	// over a simulated-latency service).
-	if points[1].DirectRPS <= points[0].DirectRPS {
-		t.Errorf("direct throughput did not scale: %v", points)
-	}
 	t.Logf("\n%s", FormatThroughput(points))
+}
+
+// TestTable1DirectRowsExact: a direct row's failures are exactly the
+// measured requests its retailer's schedule marks down. The injector
+// is the oracle; the counts are frozen too, so a change to the
+// schedule itself shows.
+func TestTable1DirectRowsExact(t *testing.T) {
+	cfg := Table1Config{Requests: 1000, Clients: 4, Seed: 7}
+	cfg.fill()
+	golden := []int{106, 92, 24, 76}
+	// loadgen runs every warm-up request before the first measured one.
+	warm := uint64(cfg.Clients * table1Warmup)
+	for i := range cfg.OutageFractions {
+		row, err := table1Direct(cfg, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if row.Requests != cfg.Requests {
+			t.Fatalf("%s: %d requests, want %d", row.Configuration, row.Requests, cfg.Requests)
+		}
+		want := 0
+		inj := retailerOutages(cfg, i)
+		for k := warm; k < warm+uint64(cfg.Requests); k++ {
+			if inj.Decide(k).Unavailable {
+				want++
+			}
+		}
+		if row.Failures != want {
+			t.Errorf("%s: %d failures, schedule marks %d measured requests down", row.Configuration, row.Failures, want)
+		}
+		if row.Failures != golden[i] {
+			t.Errorf("%s: %d failures, golden %d", row.Configuration, row.Failures, golden[i])
+		}
+	}
+}
+
+// TestRetrySweepExact: each point of the retry sweep without failover
+// fails exactly the requests a replay of the schedules says it must:
+// one client, round-robin from retailer A, every request retried at its
+// retailer until it is served or the budget is spent.
+func TestRetrySweepExact(t *testing.T) {
+	cfg := Table1Config{Requests: 400, Clients: 4, Seed: 7}
+	cfg.fill()
+	golden := []float64{122.5, 60, 37.5, 27.5, 20}
+	for attempts := 0; attempts <= 4; attempts++ {
+		p, err := runRetryPoint(cfg, attempts, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := replayRetries(cfg, attempts); p.FailuresPer1000 != want {
+			t.Errorf("maxAttempts %d: %.1f failures per 1000, replay says %.1f", attempts, p.FailuresPer1000, want)
+		}
+		if p.FailuresPer1000 != golden[attempts] {
+			t.Errorf("maxAttempts %d: %.1f failures per 1000, golden %.1f", attempts, p.FailuresPer1000, golden[attempts])
+		}
+	}
+}
+
+// replayRetries computes the no-failover retry sweep's failures per
+// 1000 from the retailers' schedules alone.
+func replayRetries(cfg Table1Config, attempts int) float64 {
+	n := len(cfg.OutageFractions)
+	schedules := make([]faultinject.Injector, n)
+	for i := range schedules {
+		schedules[i] = retailerOutages(cfg, i)
+	}
+	next := make([]uint64, n)
+	failures := 0
+	for r := 0; r < cfg.Requests; r++ {
+		i := r % n
+		served := false
+		for a := 0; a <= attempts && !served; a++ {
+			served = schedules[i] == nil || !schedules[i].Decide(next[i]).Unavailable
+			next[i]++
+		}
+		if !served {
+			failures++
+		}
+	}
+	return 1000 * float64(failures) / float64(cfg.Requests)
 }
 
 func TestRetrySweepShape(t *testing.T) {

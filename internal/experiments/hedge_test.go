@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"github.com/masc-project/masc/internal/faultinject"
 )
 
 // TestHedgeComparisonShape asserts the hedging experiment's qualitative
@@ -17,7 +19,8 @@ func TestHedgeComparisonShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full tail-latency run")
 	}
-	points, err := RunHedgeComparison(HedgeConfig{Requests: 2000, Seed: 7})
+	cfg := HedgeConfig{Requests: 2000, Seed: 7}
+	points, err := RunHedgeComparison(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,6 +38,12 @@ func TestHedgeComparisonShape(t *testing.T) {
 		t.Errorf("hedged mode launched = %d won = %d, want both > 0",
 			hedged.HedgesLaunched, hedged.HedgesWon)
 	}
+	// Unhedged, every request reaches one retailer once, round-robin,
+	// so the schedules fix the degraded count: replay them, and hold
+	// the count seed 7 gives.
+	if want := replayDegraded(cfg); unhedged.Degraded != want || want != 104 {
+		t.Errorf("unhedged: %d replies served degraded, replay says %d, golden 104", unhedged.Degraded, want)
+	}
 	if unhedged.Degraded == 0 || 4*hedged.Degraded > unhedged.Degraded {
 		t.Errorf("replies served by a degraded attempt: hedged %d, unhedged %d; want hedged ≤ ¼ × unhedged > 0",
 			hedged.Degraded, unhedged.Degraded)
@@ -47,4 +56,21 @@ func TestHedgeComparisonShape(t *testing.T) {
 			t.Errorf("FormatHedge output missing %q:\n%s", want, out)
 		}
 	}
+}
+
+// replayDegraded counts the measured requests of the unhedged mode
+// that the retailers' schedules delay: request r, warm-up included,
+// goes to retailer r mod n as that retailer's request r/n.
+func replayDegraded(cfg HedgeConfig) int {
+	cfg.fill()
+	warm := cfg.Clients * (2 * hedgeProtection().Hedge.MinSamples * cfg.Retailers / cfg.Clients)
+	n := cfg.Retailers
+	degraded := 0
+	for r := warm; r < warm+cfg.Requests; r++ {
+		d := faultinject.NewDegradation(cfg.DegradeP, cfg.DegradeMin, cfg.DegradeMax, cfg.Seed+int64(r%n))
+		if d.Decide(uint64(r/n)).Tag != "" {
+			degraded++
+		}
+	}
+	return degraded
 }

@@ -42,11 +42,11 @@ type Table1Config struct {
 	// approximate the paper's per-retailer failure rates
 	// (A=10.5%, B=8.1%, C=1.7%, D=9.1%).
 	OutageFractions []float64
-	// MeanDown is the mean outage episode duration (default 2ms —
-	// longer than the full 3×500µs retry cycle, so failover matters,
-	// while short enough that a 2000-request run samples many
-	// episodes).
-	MeanDown time.Duration
+	// MeanDown is the mean outage run, in requests at the retailer
+	// (default 8 — longer than the full retry cycle's 4 attempts at the
+	// same retailer, so failover matters, while short enough that a
+	// 2000-request run samples many episodes).
+	MeanDown float64
 }
 
 func (c *Table1Config) fill() {
@@ -63,7 +63,7 @@ func (c *Table1Config) fill() {
 		c.OutageFractions = []float64{0.105, 0.081, 0.017, 0.091}
 	}
 	if c.MeanDown <= 0 {
-		c.MeanDown = 2 * time.Millisecond
+		c.MeanDown = 8
 	}
 }
 
@@ -77,7 +77,8 @@ type Table1Row struct {
 	Failures int
 	// FailuresPer1000 is the paper's reliability metric.
 	FailuresPer1000 float64
-	// Availability is MTBF/(MTBF+MTTR) from the client's view.
+	// Availability is MTBF/(MTBF+MTTR) from the client's view, in
+	// wall-clock time.
 	Availability float64
 	// MeanRTT is the mean successful latency (not in the paper's
 	// table; reported for context).
@@ -106,22 +107,30 @@ const table1Policies = `
   </AdaptationPolicy>
 </PolicyDocument>`
 
+// retailerOutages returns retailer i's fault schedule: random outage
+// runs with its configured downtime fraction, or nil for a retailer
+// that never fails.
+func retailerOutages(cfg Table1Config, i int) faultinject.Injector {
+	f := cfg.OutageFractions[i]
+	if f <= 0 {
+		return nil
+	}
+	inj := faultinject.NewRandomOutages(cfg.MeanDown*(1/f-1), cfg.MeanDown, cfg.Seed+int64(i))
+	// Callers take about one request round trip to discover an outage
+	// (connection timeout), so a failed attempt costs time as it did on
+	// the testbed.
+	inj.SetFailureLatency(500 * time.Microsecond)
+	return inj
+}
+
 // buildSCM deploys the SCM topology with per-retailer random outages.
 func buildSCM(cfg Table1Config) (*scm.Deployment, error) {
 	net := transport.NewNetwork()
 	injectors := make(map[int]faultinject.Injector, len(cfg.OutageFractions))
-	origin := time.Now()
-	for i, f := range cfg.OutageFractions {
-		if f <= 0 {
-			continue
+	for i := range cfg.OutageFractions {
+		if inj := retailerOutages(cfg, i); inj != nil {
+			injectors[i] = inj
 		}
-		meanUp := time.Duration(float64(cfg.MeanDown) * (1/f - 1))
-		inj := faultinject.NewRandomOutages(origin, meanUp, cfg.MeanDown, cfg.Seed+int64(i))
-		// Callers take about one request round trip to discover an
-		// outage (connection timeout); without this, closed-loop
-		// clients would fail fast and oversample downtime.
-		inj.SetFailureLatency(500 * time.Microsecond)
-		injectors[i] = inj
 	}
 	return scm.Deploy(net, nil, scm.DeployConfig{
 		Retailers:         len(cfg.OutageFractions),
@@ -154,35 +163,25 @@ func catalogCall(ctx context.Context, invoker transport.Invoker, target string) 
 	return resp, nil
 }
 
+// table1Warmup is each client's warm-up before measurement. Every
+// client finishes its warm-up before any is measured, so on a direct
+// row the retailer's first Clients×table1Warmup requests are the
+// warm-up and the rest are measured.
+const table1Warmup = 5
+
 // RunTable1 reproduces Table 1: the getCatalog operation invoked
 // directly against each individual retailer, then against one wsBus
 // VEP grouping all of them.
 func RunTable1(cfg Table1Config) ([]Table1Row, error) {
 	cfg.fill()
 	var rows []Table1Row
-
-	lg := loadgen.Config{
-		Clients:           cfg.Clients,
-		RequestsPerClient: cfg.Requests / cfg.Clients,
-		WarmupPerClient:   5,
-	}
-
 	// Direct configurations: "only Retailer X used by the client".
 	for i := range cfg.OutageFractions {
-		d, err := buildSCM(cfg)
+		row, err := table1Direct(cfg, i)
 		if err != nil {
 			return nil, err
 		}
-		summary := loadgen.Run(context.Background(), lg, catalogOp(d.Net, scm.RetailerAddr(i)))
-		_, _, avail := loadgen.Availability(summary.Outcomes)
-		rows = append(rows, Table1Row{
-			Configuration:   fmt.Sprintf("Direct: only Retailer %c used by the client", 'A'+i),
-			Requests:        summary.Requests,
-			Failures:        summary.Failures,
-			FailuresPer1000: summary.FailuresPer1000,
-			Availability:    avail,
-			MeanRTT:         summary.Mean,
-		})
+		rows = append(rows, row)
 	}
 
 	// wsBus configuration: all retailers behind one client-side VEP.
@@ -195,17 +194,41 @@ func RunTable1(cfg Table1Config) ([]Table1Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	summary := loadgen.Run(context.Background(), lg, catalogOp(b, "vep:Retailer"))
-	_, _, avail := loadgen.Availability(summary.Outcomes)
-	rows = append(rows, Table1Row{
-		Configuration:   fmt.Sprintf("wsBus: all %d Retailer services exposed as 1 VEP", len(cfg.OutageFractions)),
-		Requests:        summary.Requests,
-		Failures:        summary.Failures,
-		FailuresPer1000: summary.FailuresPer1000,
+	summary := loadgen.Run(context.Background(), table1Load(cfg), catalogOp(b, "vep:Retailer"))
+	return append(rows, table1Row(
+		fmt.Sprintf("wsBus: all %d Retailer services exposed as 1 VEP", len(cfg.OutageFractions)), summary)), nil
+}
+
+// table1Direct measures the direct row of retailer i on a fresh
+// deployment. Each request reaches the retailer exactly once, so which
+// of them fail is fixed by the retailer's schedule and the seed.
+func table1Direct(cfg Table1Config, i int) (Table1Row, error) {
+	d, err := buildSCM(cfg)
+	if err != nil {
+		return Table1Row{}, err
+	}
+	summary := loadgen.Run(context.Background(), table1Load(cfg), catalogOp(d.Net, scm.RetailerAddr(i)))
+	return table1Row(fmt.Sprintf("Direct: only Retailer %c used by the client", 'A'+i), summary), nil
+}
+
+func table1Load(cfg Table1Config) loadgen.Config {
+	return loadgen.Config{
+		Clients:           cfg.Clients,
+		RequestsPerClient: cfg.Requests / cfg.Clients,
+		WarmupPerClient:   table1Warmup,
+	}
+}
+
+func table1Row(configuration string, s loadgen.Summary) Table1Row {
+	_, _, avail := loadgen.Availability(s.Outcomes)
+	return Table1Row{
+		Configuration:   configuration,
+		Requests:        s.Requests,
+		Failures:        s.Failures,
+		FailuresPer1000: s.FailuresPer1000,
 		Availability:    avail,
-		MeanRTT:         summary.Mean,
-	})
-	return rows, nil
+		MeanRTT:         s.Mean,
+	}
 }
 
 // mediatedBus builds the client-side wsBus over a deployment, with the

@@ -37,6 +37,9 @@ func (c *ThroughputConfig) fill() {
 // ThroughputPoint is one concurrency level's result.
 type ThroughputPoint struct {
 	Concurrency int
+	// Requests is the measured request count of each mode; Failures
+	// counts the failed ones of both.
+	Requests, Failures int
 	// DirectRPS and BusRPS are successful requests per second.
 	DirectRPS float64
 	BusRPS    float64
@@ -82,6 +85,8 @@ func RunThroughput(cfg ThroughputConfig) ([]ThroughputPoint, error) {
 
 		p := ThroughputPoint{
 			Concurrency: n,
+			Requests:    min(direct.Requests, mediated.Requests),
+			Failures:    direct.Failures + mediated.Failures,
 			DirectRPS:   direct.Throughput,
 			BusRPS:      mediated.Throughput,
 		}

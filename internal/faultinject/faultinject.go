@@ -6,12 +6,17 @@
 // degradations, test code occasionally picked some service instances
 // and changed their QoS values (e.g., introduced delays)."
 //
-// Injectors are deterministic given their seed, so experiments are
-// reproducible run to run.
+// "At random times" is counted in requests, not read off a clock: an
+// injector decides an endpoint's k-th request from its seed and k
+// alone. The same seed therefore perturbs the same requests run to run,
+// whatever the scheduler does, and a fault schedule is an input to the
+// experiment rather than a race with it.
 package faultinject
 
 import (
+	"math"
 	"math/rand"
+	"sort"
 	"sync"
 	"time"
 )
@@ -23,7 +28,8 @@ type Outcome struct {
 	// Reason describes the injected failure (for fault classification).
 	Reason string
 	// ExtraDelay is added to the service's processing time (QoS
-	// degradation).
+	// degradation), or, on an unavailable outcome, is how long the
+	// caller takes to detect the outage.
 	ExtraDelay time.Duration
 	// Tag, when set, marks the reply of a perturbed invocation (the
 	// in-process network stamps it as a header block), so a client can
@@ -31,76 +37,29 @@ type Outcome struct {
 	Tag string
 }
 
-// Injector decides, per invocation at a given instant, whether and how
-// to perturb the invocation. Implementations must be safe for
-// concurrent use.
+// Injector decides how to perturb an endpoint's k-th request (k counts
+// from 0). The decision depends on the injector's parameters and k
+// only. Implementations must be safe for concurrent use.
 type Injector interface {
-	Decide(now time.Time) Outcome
+	Decide(k uint64) Outcome
 }
 
-// None injects nothing.
-type None struct{}
-
-var _ Injector = None{}
-
-// Decide implements Injector.
-func (None) Decide(time.Time) Outcome { return Outcome{} }
-
-// Window is a half-open interval [Start, End) of unavailability.
-type Window struct {
-	Start time.Time
-	End   time.Time
-}
-
-// Contains reports whether t falls inside the window.
-func (w Window) Contains(t time.Time) bool {
-	return !t.Before(w.Start) && t.Before(w.End)
-}
-
-// Scheduled injects unavailability during fixed windows. Useful for
-// tests that need exact fault timing.
-type Scheduled struct {
-	// Reason labels injected failures; defaults to "scheduled outage".
-	Reason  string
-	windows []Window
-}
-
-var _ Injector = (*Scheduled)(nil)
-
-// NewScheduled builds an injector from explicit windows.
-func NewScheduled(windows ...Window) *Scheduled {
-	return &Scheduled{windows: windows}
-}
-
-// Decide implements Injector.
-func (s *Scheduled) Decide(now time.Time) Outcome {
-	for _, w := range s.windows {
-		if w.Contains(now) {
-			reason := s.Reason
-			if reason == "" {
-				reason = "scheduled outage"
-			}
-			return Outcome{Unavailable: true, Reason: reason}
-		}
-	}
-	return Outcome{}
-}
-
-// RandomOutages alternates exponentially distributed up and down
-// periods, like a service that crashes at random times and recovers
-// after a random repair time. The schedule is generated lazily and
-// deterministically from the seed, so two injectors with identical
-// parameters produce identical outage patterns.
+// RandomOutages alternates up and down runs of requests, like a service
+// that crashes at random and recovers after a random repair. Run
+// lengths are geometric (each request ends the current run with a fixed
+// probability), the request-count form of exponential up and repair
+// times. The schedule is drawn lazily from the seed in run order, so
+// any k, asked in any order, gets the same answer.
 type RandomOutages struct {
 	mu       sync.Mutex
 	rng      *rand.Rand
-	meanUp   time.Duration
-	meanDown time.Duration
-	// horizon is the end of the last generated period; periods
-	// alternate starting with an up period at origin.
-	origin  time.Time
-	horizon time.Time
-	windows []Window // generated outage windows, in order
+	meanUp   float64
+	meanDown float64
+	// downs are the generated outage runs [start, end) in order; the
+	// schedule starts with an up run at k = 0 and is drawn through
+	// horizon.
+	downs   [][2]uint64
+	horizon uint64
 	reason  string
 	// failureLatency is reported as ExtraDelay on unavailable
 	// decisions: how long a caller takes to discover the outage
@@ -118,80 +77,49 @@ func (r *RandomOutages) SetFailureLatency(d time.Duration) {
 
 var _ Injector = (*RandomOutages)(nil)
 
-// NewRandomOutages builds an injector whose uptime and downtime periods
-// have the given means. origin anchors the schedule (pass the
-// experiment's start time).
-func NewRandomOutages(origin time.Time, meanUp, meanDown time.Duration, seed int64) *RandomOutages {
+// NewRandomOutages builds an injector whose up and down runs have the
+// given mean lengths, in requests.
+func NewRandomOutages(meanUp, meanDown float64, seed int64) *RandomOutages {
 	return &RandomOutages{
 		rng:      rand.New(rand.NewSource(seed)),
 		meanUp:   meanUp,
 		meanDown: meanDown,
-		origin:   origin,
-		horizon:  origin,
 		reason:   "random outage",
 	}
 }
 
 // Decide implements Injector.
-func (r *RandomOutages) Decide(now time.Time) Outcome {
+func (r *RandomOutages) Decide(k uint64) Outcome {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.extendTo(now)
-	for i := len(r.windows) - 1; i >= 0; i-- {
-		w := r.windows[i]
-		if w.Contains(now) {
-			return Outcome{Unavailable: true, Reason: r.reason, ExtraDelay: r.failureLatency}
-		}
-		if now.After(w.End) {
-			break
-		}
+	for r.horizon <= k {
+		start := r.horizon + runLength(r.rng, r.meanUp)
+		r.horizon = start + runLength(r.rng, r.meanDown)
+		r.downs = append(r.downs, [2]uint64{start, r.horizon})
+	}
+	// The first run ending after k is the only one that can hold it.
+	i := sort.Search(len(r.downs), func(i int) bool { return r.downs[i][1] > k })
+	if k >= r.downs[i][0] {
+		return Outcome{Unavailable: true, Reason: r.reason, ExtraDelay: r.failureLatency}
 	}
 	return Outcome{}
 }
 
-// OutageWindowsThrough generates and returns the outage schedule up to t.
-// Exposed so experiments can report injected downtime.
-func (r *RandomOutages) OutageWindowsThrough(t time.Time) []Window {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.extendTo(t)
-	out := make([]Window, 0, len(r.windows))
-	for _, w := range r.windows {
-		if w.Start.After(t) {
-			break
-		}
-		out = append(out, w)
+// runLength draws a run of at least one request whose mean is mean:
+// floor(X)+1 for X exponential with mean -1/ln(1-1/mean) is geometric
+// on {1, 2, …} with exactly that mean.
+func runLength(rng *rand.Rand, mean float64) uint64 {
+	if mean <= 1 {
+		return 1
 	}
-	return out
-}
-
-func (r *RandomOutages) extendTo(t time.Time) {
-	for !r.horizon.After(t) {
-		up := expDuration(r.rng, r.meanUp)
-		down := expDuration(r.rng, r.meanDown)
-		start := r.horizon.Add(up)
-		end := start.Add(down)
-		r.windows = append(r.windows, Window{Start: start, End: end})
-		r.horizon = end
-	}
-}
-
-// expDuration draws an exponentially distributed duration with the
-// given mean, clamped to at least one microsecond so schedules advance.
-func expDuration(rng *rand.Rand, mean time.Duration) time.Duration {
-	d := time.Duration(rng.ExpFloat64() * float64(mean))
-	if d < time.Microsecond {
-		d = time.Microsecond
-	}
-	return d
+	return uint64(rng.ExpFloat64()/-math.Log1p(-1/mean)) + 1
 }
 
 // Degradation occasionally adds latency to invocations: with
-// probability P, a delay uniform in [MinDelay, MaxDelay] is injected
+// probability P, a delay uniform in [MinDelay, MaxDelay) is injected
 // and the reply is tagged "degraded".
 type Degradation struct {
-	mu       sync.Mutex
-	rng      *rand.Rand
+	seed     int64
 	p        float64
 	minDelay time.Duration
 	maxDelay time.Duration
@@ -204,62 +132,26 @@ func NewDegradation(p float64, minDelay, maxDelay time.Duration, seed int64) *De
 	if maxDelay < minDelay {
 		maxDelay = minDelay
 	}
-	return &Degradation{
-		rng:      rand.New(rand.NewSource(seed)),
-		p:        p,
-		minDelay: minDelay,
-		maxDelay: maxDelay,
-	}
+	return &Degradation{seed: seed, p: p, minDelay: minDelay, maxDelay: maxDelay}
 }
 
 // Decide implements Injector.
-func (d *Degradation) Decide(time.Time) Outcome {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.rng.Float64() >= d.p {
+func (d *Degradation) Decide(k uint64) Outcome {
+	u := uniform(d.seed, k)
+	if u >= d.p {
 		return Outcome{}
 	}
-	span := d.maxDelay - d.minDelay
-	extra := d.minDelay
-	if span > 0 {
-		extra += time.Duration(d.rng.Int63n(int64(span)))
-	}
+	// Given u < p, u/p is itself uniform in [0, 1): one draw picks
+	// both whether and how much.
+	extra := d.minDelay + time.Duration(u/d.p*float64(d.maxDelay-d.minDelay))
 	return Outcome{ExtraDelay: extra, Tag: "degraded"}
 }
 
-// Composite applies several injectors: the invocation is unavailable if
-// any says so; extra delays accumulate.
-type Composite struct {
-	injectors []Injector
-}
-
-var _ Injector = (*Composite)(nil)
-
-// NewComposite combines injectors.
-func NewComposite(injectors ...Injector) *Composite {
-	return &Composite{injectors: injectors}
-}
-
-// Decide implements Injector.
-func (c *Composite) Decide(now time.Time) Outcome {
-	var out Outcome
-	for _, inj := range c.injectors {
-		o := inj.Decide(now)
-		if o.Unavailable && !out.Unavailable {
-			out.Unavailable = true
-			out.Reason = o.Reason
-		}
-		out.ExtraDelay += o.ExtraDelay
-	}
-	return out
-}
-
-// FailureRate injects stateless random failures at a fixed probability
-// per invocation, independent of time. This models transient errors
-// (lost messages, sporadic 500s) rather than outage episodes.
+// FailureRate injects independent random failures at a fixed
+// probability per invocation. This models transient errors (lost
+// messages, sporadic 500s) rather than outage episodes.
 type FailureRate struct {
-	mu     sync.Mutex
-	rng    *rand.Rand
+	seed   int64
 	p      float64
 	reason string
 }
@@ -269,19 +161,23 @@ var _ Injector = (*FailureRate)(nil)
 // NewFailureRate builds an injector failing each invocation with
 // probability p.
 func NewFailureRate(p float64, seed int64) *FailureRate {
-	return &FailureRate{
-		rng:    rand.New(rand.NewSource(seed)),
-		p:      p,
-		reason: "transient failure",
-	}
+	return &FailureRate{seed: seed, p: p, reason: "transient failure"}
 }
 
 // Decide implements Injector.
-func (f *FailureRate) Decide(time.Time) Outcome {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.rng.Float64() < f.p {
+func (f *FailureRate) Decide(k uint64) Outcome {
+	if uniform(f.seed, k) < f.p {
 		return Outcome{Unavailable: true, Reason: f.reason}
 	}
 	return Outcome{}
+}
+
+// uniform hashes (seed, k) to [0, 1) with the splitmix64 finalizer, so
+// the draw for request k needs no shared generator state.
+func uniform(seed int64, k uint64) float64 {
+	z := uint64(seed) + (k+1)*0x9e3779b97f4a7c15
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	z ^= z >> 31
+	return float64(z>>11) / (1 << 53)
 }

@@ -1,190 +1,161 @@
 package faultinject
 
 import (
+	"sync"
 	"testing"
 	"time"
 )
 
-var epoch = time.Date(2006, 11, 27, 0, 0, 0, 0, time.UTC)
-
-func TestNone(t *testing.T) {
-	var n None
-	o := n.Decide(epoch)
-	if o.Unavailable || o.ExtraDelay != 0 {
-		t.Fatalf("None injected %+v", o)
-	}
-}
-
-func TestWindowContains(t *testing.T) {
-	w := Window{Start: epoch, End: epoch.Add(time.Minute)}
-	if !w.Contains(epoch) {
-		t.Fatal("start should be contained (half-open)")
-	}
-	if w.Contains(epoch.Add(time.Minute)) {
-		t.Fatal("end should not be contained")
-	}
-	if w.Contains(epoch.Add(-time.Second)) {
-		t.Fatal("before start contained")
-	}
-}
-
-func TestScheduled(t *testing.T) {
-	s := NewScheduled(
-		Window{Start: epoch.Add(time.Minute), End: epoch.Add(2 * time.Minute)},
-		Window{Start: epoch.Add(5 * time.Minute), End: epoch.Add(6 * time.Minute)},
-	)
-	if o := s.Decide(epoch); o.Unavailable {
-		t.Fatal("unavailable before first window")
-	}
-	o := s.Decide(epoch.Add(90 * time.Second))
-	if !o.Unavailable {
-		t.Fatal("available inside window")
-	}
-	if o.Reason != "scheduled outage" {
-		t.Fatalf("reason = %q", o.Reason)
-	}
-	if o := s.Decide(epoch.Add(3 * time.Minute)); o.Unavailable {
-		t.Fatal("unavailable between windows")
-	}
-	if o := s.Decide(epoch.Add(330 * time.Second)); !o.Unavailable {
-		t.Fatal("available inside second window")
-	}
-}
-
-func TestScheduledCustomReason(t *testing.T) {
-	s := NewScheduled(Window{Start: epoch, End: epoch.Add(time.Hour)})
-	s.Reason = "network partition"
-	if o := s.Decide(epoch); o.Reason != "network partition" {
-		t.Fatalf("reason = %q", o.Reason)
-	}
-}
-
 func TestRandomOutagesDeterministic(t *testing.T) {
-	a := NewRandomOutages(epoch, time.Minute, 10*time.Second, 99)
-	b := NewRandomOutages(epoch, time.Minute, 10*time.Second, 99)
-	for i := 0; i < 500; i++ {
-		now := epoch.Add(time.Duration(i) * time.Second)
-		if a.Decide(now).Unavailable != b.Decide(now).Unavailable {
-			t.Fatalf("seeded injectors diverged at +%ds", i)
+	a := NewRandomOutages(60, 10, 99)
+	b := NewRandomOutages(60, 10, 99)
+	for k := uint64(0); k < 500; k++ {
+		if a.Decide(k).Unavailable != b.Decide(k).Unavailable {
+			t.Fatalf("seeded injectors diverged at k=%d", k)
 		}
 	}
+	// Out of order and from several goroutines at once: a fresh
+	// injector gives the answers the in-order walk gave.
+	c := NewRandomOutages(60, 10, 99)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 499 - g; k >= 0; k -= 4 {
+				if c.Decide(uint64(k)).Unavailable != a.Decide(uint64(k)).Unavailable {
+					t.Errorf("answer at k=%d depends on query order", k)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestRandomOutagesAlternate(t *testing.T) {
-	r := NewRandomOutages(epoch, 30*time.Second, 5*time.Second, 7)
-	end := epoch.Add(10 * time.Minute)
-	windows := r.OutageWindowsThrough(end)
-	if len(windows) == 0 {
-		t.Fatal("no outages generated in 10 minutes with 30s mean uptime")
-	}
-	var down time.Duration
-	for i, w := range windows {
-		if !w.End.After(w.Start) {
-			t.Fatalf("window %d not positive: %+v", i, w)
+	const n = 10_000
+	r := NewRandomOutages(30, 5, 7)
+	r.SetFailureLatency(time.Millisecond)
+	// Rebuild the runs from Decide over k: runs[0] is up, then they
+	// alternate.
+	runs := []int{0}
+	var downRuns []int
+	var down int
+	for k := uint64(0); k < n; k++ {
+		o := r.Decide(k)
+		if inDown := len(runs)%2 == 0; o.Unavailable != inDown {
+			runs = append(runs, 0)
 		}
-		if i > 0 && w.Start.Before(windows[i-1].End) {
-			t.Fatalf("windows overlap: %v then %v", windows[i-1], w)
+		runs[len(runs)-1]++
+		if o.Unavailable {
+			down++
+			if o.ExtraDelay != time.Millisecond || o.Reason == "" {
+				t.Fatalf("outage outcome = %+v", o)
+			}
 		}
-		down += w.End.Sub(w.Start)
 	}
-	// With meanUp=30s, meanDown=5s expected downtime fraction ~1/7; allow
-	// a wide band for randomness.
-	frac := float64(down) / float64(end.Sub(epoch))
-	if frac <= 0 || frac > 0.5 {
+	if runs[0] == 0 {
+		t.Fatal("schedule starts down at k=0")
+	}
+	for i := 1; i < len(runs); i += 2 {
+		downRuns = append(downRuns, runs[i])
+	}
+	if len(downRuns) < 50 {
+		t.Fatalf("%d outages in %d requests with a mean up run of 30", len(downRuns), n)
+	}
+	// With mean up 30 and mean down 5 the expected downtime fraction is
+	// 5/35 ≈ 0.14; allow a wide band for randomness.
+	if frac := float64(down) / n; frac < 0.07 || frac > 0.25 {
 		t.Fatalf("downtime fraction = %v, implausible", frac)
 	}
-	// Decide agrees with the windows.
-	for _, w := range windows {
-		mid := w.Start.Add(w.End.Sub(w.Start) / 2)
-		if !r.Decide(mid).Unavailable {
-			t.Fatalf("Decide(%v) available inside generated window %+v", mid, w)
-		}
+	var sum int
+	for _, d := range downRuns {
+		sum += d
+	}
+	if mean := float64(sum) / float64(len(downRuns)); mean < 3 || mean > 8 {
+		t.Fatalf("mean down run = %.1f requests, want about 5", mean)
 	}
 }
 
 func TestRandomOutagesQueryBeforeOrigin(t *testing.T) {
-	r := NewRandomOutages(epoch, time.Minute, time.Second, 1)
-	if o := r.Decide(epoch.Add(-time.Hour)); o.Unavailable {
-		t.Fatal("unavailable before origin")
+	// Every schedule opens with an up run, so the first request is served.
+	for seed := int64(0); seed < 100; seed++ {
+		r := NewRandomOutages(60, 1, seed)
+		if o := r.Decide(0); o.Unavailable {
+			t.Fatalf("seed %d: unavailable at k=0", seed)
+		}
 	}
 }
 
 func TestDegradation(t *testing.T) {
 	d := NewDegradation(1.0, 10*time.Millisecond, 20*time.Millisecond, 5)
-	for i := 0; i < 100; i++ {
-		o := d.Decide(epoch)
+	for k := uint64(0); k < 100; k++ {
+		o := d.Decide(k)
 		if o.Unavailable {
 			t.Fatal("degradation should not make unavailable")
 		}
 		if o.ExtraDelay < 10*time.Millisecond || o.ExtraDelay >= 20*time.Millisecond {
 			t.Fatalf("delay %v outside [10ms,20ms)", o.ExtraDelay)
 		}
+		if o.Tag != "degraded" {
+			t.Fatalf("tag = %q", o.Tag)
+		}
+		if again := d.Decide(k); again != o {
+			t.Fatalf("k=%d decided twice differently: %+v then %+v", k, o, again)
+		}
 	}
 	never := NewDegradation(0, time.Second, time.Second, 5)
-	if o := never.Decide(epoch); o.ExtraDelay != 0 {
+	if o := never.Decide(0); o.ExtraDelay != 0 {
 		t.Fatal("p=0 injected delay")
 	}
 }
 
 func TestDegradationFixedDelay(t *testing.T) {
 	d := NewDegradation(1.0, 5*time.Millisecond, 5*time.Millisecond, 1)
-	if o := d.Decide(epoch); o.ExtraDelay != 5*time.Millisecond {
+	if o := d.Decide(0); o.ExtraDelay != 5*time.Millisecond {
 		t.Fatalf("fixed delay = %v", o.ExtraDelay)
 	}
 }
 
 func TestDegradationSwappedBounds(t *testing.T) {
 	d := NewDegradation(1.0, 10*time.Millisecond, time.Millisecond, 1)
-	if o := d.Decide(epoch); o.ExtraDelay != 10*time.Millisecond {
+	if o := d.Decide(0); o.ExtraDelay != 10*time.Millisecond {
 		t.Fatalf("swapped bounds delay = %v, want clamped to min", o.ExtraDelay)
 	}
 }
 
 func TestFailureRate(t *testing.T) {
 	always := NewFailureRate(1.0, 3)
-	if o := always.Decide(epoch); !o.Unavailable || o.Reason == "" {
+	if o := always.Decide(0); !o.Unavailable || o.Reason == "" {
 		t.Fatalf("p=1 outcome = %+v", o)
 	}
 	never := NewFailureRate(0, 3)
-	if o := never.Decide(epoch); o.Unavailable {
+	if o := never.Decide(0); o.Unavailable {
 		t.Fatal("p=0 failed")
 	}
 
 	half := NewFailureRate(0.5, 3)
-	fails := 0
+	other := NewFailureRate(0.5, 4)
+	fails, differ := 0, 0
 	const n = 2000
-	for i := 0; i < n; i++ {
-		if half.Decide(epoch).Unavailable {
+	for k := uint64(0); k < n; k++ {
+		o := half.Decide(k)
+		if o.Unavailable {
 			fails++
+		}
+		if o.Unavailable != other.Decide(k).Unavailable {
+			differ++
+		}
+		if half.Decide(k) != o {
+			t.Fatalf("k=%d decided twice differently", k)
 		}
 	}
 	if fails < n*4/10 || fails > n*6/10 {
 		t.Fatalf("p=0.5 failure count = %d/%d, outside 40-60%%", fails, n)
 	}
-}
-
-func TestComposite(t *testing.T) {
-	c := NewComposite(
-		NewDegradation(1.0, time.Millisecond, time.Millisecond, 1),
-		NewScheduled(Window{Start: epoch, End: epoch.Add(time.Minute)}),
-		NewDegradation(1.0, 2*time.Millisecond, 2*time.Millisecond, 2),
-	)
-	o := c.Decide(epoch)
-	if !o.Unavailable {
-		t.Fatal("composite missed scheduled outage")
-	}
-	if o.Reason != "scheduled outage" {
-		t.Fatalf("reason = %q", o.Reason)
-	}
-	if o.ExtraDelay != 3*time.Millisecond {
-		t.Fatalf("delays did not accumulate: %v", o.ExtraDelay)
-	}
-
-	after := c.Decide(epoch.Add(2 * time.Minute))
-	if after.Unavailable {
-		t.Fatal("composite unavailable outside window")
-	}
-	if after.ExtraDelay != 3*time.Millisecond {
-		t.Fatalf("delay = %v", after.ExtraDelay)
+	// Two seeds give independent schedules: they disagree about half
+	// the time.
+	if differ < n*4/10 || differ > n*6/10 {
+		t.Fatalf("seeds 3 and 4 disagree on %d/%d requests", differ, n)
 	}
 }

@@ -18,7 +18,9 @@ type Config struct {
 	Clients int
 	// RequestsPerClient is the measured request count per client.
 	RequestsPerClient int
-	// WarmupPerClient requests run before measurement (excluded).
+	// WarmupPerClient requests run before measurement (excluded). Every
+	// client finishes its warm-up before any client starts measuring,
+	// so the warm-up requests are the first ones each service sees.
 	WarmupPerClient int
 	// ThinkTime pauses between a client's requests ("the delay between
 	// requests is set to zero to increase the load on the server").
@@ -73,13 +75,20 @@ func Run(ctx context.Context, cfg Config, op Op) Summary {
 	var outcomes []Outcome
 
 	start := time.Now()
-	var wg sync.WaitGroup
+	var wg, warm sync.WaitGroup
+	if cfg.WarmupPerClient > 0 {
+		warm.Add(cfg.Clients)
+	}
 	for c := 0; c < cfg.Clients; c++ {
 		wg.Add(1)
 		go func(client int) {
 			defer wg.Done()
-			for i := 0; i < cfg.WarmupPerClient; i++ {
-				_ = op(ctx, client, -1-i)
+			if cfg.WarmupPerClient > 0 {
+				for i := 0; i < cfg.WarmupPerClient; i++ {
+					_ = op(ctx, client, -1-i)
+				}
+				warm.Done()
+				warm.Wait()
 			}
 			for i := 0; i < cfg.RequestsPerClient; i++ {
 				if ctx.Err() != nil {

@@ -25,16 +25,28 @@ func TestRunCountsRequests(t *testing.T) {
 	}
 }
 
+// TestRunWarmupExcluded: warm-up requests are not measured, and every
+// one of them is issued before the first measured request.
 func TestRunWarmupExcluded(t *testing.T) {
-	var total, measured atomic.Int64
+	var total, measured, early atomic.Int64
 	s := Run(context.Background(), Config{Clients: 2, RequestsPerClient: 5, WarmupPerClient: 3},
-		func(_ context.Context, _ int, seq int) error {
-			total.Add(1)
+		func(_ context.Context, client int, seq int) error {
+			n := total.Add(1)
 			if seq >= 0 {
 				measured.Add(1)
+				if n <= 6 {
+					early.Add(1)
+				}
+			} else if client == 1 {
+				// Slow one client's warm-up down: without the barrier
+				// the other would start measuring meanwhile.
+				time.Sleep(time.Millisecond)
 			}
 			return nil
 		})
+	if early.Load() != 0 {
+		t.Fatalf("%d measured requests ran before warm-up finished", early.Load())
+	}
 	if total.Load() != 16 {
 		t.Fatalf("total ops = %d, want 16 (2×(3+5))", total.Load())
 	}

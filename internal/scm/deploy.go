@@ -49,6 +49,37 @@ type DeployConfig struct {
 	LoggingInjector faultinject.Injector
 }
 
+// hook builds the transport hook of an endpoint with fault injector
+// inj (nil for none): the injector decides by the endpoint's request
+// ordinal, the link and service profiles charge for the request's size.
+// With no link, no service cost and no injector it returns nil, and the
+// endpoint is invoked directly.
+func (cfg DeployConfig) hook(inj faultinject.Injector) *transport.Hook {
+	if cfg.Link == nil && cfg.Service == (simnet.ServiceProfile{}) && inj == nil {
+		return nil
+	}
+	h := &transport.Hook{Request: func(k uint64, size int) transport.Effect {
+		var o faultinject.Outcome
+		if inj != nil {
+			o = inj.Decide(k)
+		}
+		d := o.ExtraDelay
+		if cfg.Link != nil {
+			d += cfg.Link.Delay(size)
+		}
+		if o.Unavailable {
+			// The caller pays the request link plus the outage's
+			// detection latency before it sees the failure.
+			return transport.Effect{Delay: d, Unavailable: o.Reason}
+		}
+		return transport.Effect{Delay: d + cfg.Service.ProcessingTime(size), Tag: o.Tag}
+	}}
+	if cfg.Link != nil {
+		h.Reply = cfg.Link.Delay
+	}
+	return h
+}
+
 // Deployment is a running SCM topology.
 type Deployment struct {
 	// Net is the network the services are registered on.
@@ -92,23 +123,12 @@ func Deploy(net *transport.Network, backhaul transport.Invoker, cfg DeployConfig
 		Registry:      reg,
 	}
 
-	endpointOpts := func(inj faultinject.Injector) []transport.EndpointOption {
-		opts := []transport.EndpointOption{transport.WithServiceProfile(cfg.Service)}
-		if cfg.Link != nil {
-			opts = append(opts, transport.WithLink(cfg.Link))
-		}
-		if inj != nil {
-			opts = append(opts, transport.WithInjector(inj))
-		}
-		return opts
-	}
-
 	// Manufacturers and warehouses (A, B, C pairs).
 	var warehouseAddrs []string
 	for i := 0; i < 3; i++ {
 		mAddr := ManufacturerAddr(i)
 		m := NewManufacturer(fmt.Sprintf("M%c", 'A'+i))
-		net.Register(mAddr, m, endpointOpts(nil)...)
+		net.Register(mAddr, m, transport.WithHook(cfg.hook(nil)))
 		d.Manufacturers[mAddr] = m
 		if err := reg.Register(registry.Entry{
 			Address: mAddr, ServiceType: TypeManufacturer, Contract: ManufacturerContract(),
@@ -118,7 +138,7 @@ func Deploy(net *transport.Network, backhaul transport.Invoker, cfg DeployConfig
 
 		wAddr := WarehouseAddr(i)
 		w := NewWarehouse(fmt.Sprintf("W%c", 'A'+i), cfg.InitialStock, mAddr, backhaul)
-		net.Register(wAddr, w, endpointOpts(nil)...)
+		net.Register(wAddr, w, transport.WithHook(cfg.hook(nil)))
 		d.Warehouses[wAddr] = w
 		warehouseAddrs = append(warehouseAddrs, wAddr)
 		if err := reg.Register(registry.Entry{
@@ -129,7 +149,7 @@ func Deploy(net *transport.Network, backhaul transport.Invoker, cfg DeployConfig
 	}
 
 	// Logging facility.
-	net.Register(LoggingAddr, d.Logging, endpointOpts(cfg.LoggingInjector)...)
+	net.Register(LoggingAddr, d.Logging, transport.WithHook(cfg.hook(cfg.LoggingInjector)))
 	if err := reg.Register(registry.Entry{
 		Address: LoggingAddr, ServiceType: TypeLogging, Contract: LoggingContract(),
 	}); err != nil {
@@ -140,7 +160,7 @@ func Deploy(net *transport.Network, backhaul transport.Invoker, cfg DeployConfig
 	for i := 0; i < cfg.Retailers; i++ {
 		addr := RetailerAddr(i)
 		r := NewRetailer(fmt.Sprintf("%c", 'A'+i), warehouseAddrs, LoggingAddr, backhaul)
-		net.Register(addr, r, endpointOpts(cfg.RetailerInjectors[i])...)
+		net.Register(addr, r, transport.WithHook(cfg.hook(cfg.RetailerInjectors[i])))
 		d.Retailers[addr] = r
 		d.RetailerAddrs = append(d.RetailerAddrs, addr)
 		if err := reg.Register(registry.Entry{
@@ -151,7 +171,7 @@ func Deploy(net *transport.Network, backhaul transport.Invoker, cfg DeployConfig
 	}
 
 	// Configuration service over the registry.
-	net.Register(ConfigAddr, &ConfigurationService{Lookup: reg.Addresses}, endpointOpts(nil)...)
+	net.Register(ConfigAddr, &ConfigurationService{Lookup: reg.Addresses}, transport.WithHook(cfg.hook(nil)))
 	if err := reg.Register(registry.Entry{
 		Address: ConfigAddr, ServiceType: TypeConfiguration, Contract: ConfigurationContract(),
 	}); err != nil {

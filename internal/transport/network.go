@@ -5,20 +5,20 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/masc-project/masc/internal/clock"
-	"github.com/masc-project/masc/internal/faultinject"
-	"github.com/masc-project/masc/internal/simnet"
 	"github.com/masc-project/masc/internal/soap"
 	"github.com/masc-project/masc/internal/xmltree"
 )
 
 // Network is an in-process SOAP network: services register under
-// addresses (by convention "inproc://name"), and invocations pay the
-// configured link and processing delays and pass through the endpoint's
-// fault injector. It substitutes for the paper's Tomcat/Axis testbed in
-// experiments (see DESIGN.md §2) and is safe for concurrent use.
+// addresses (by convention "inproc://name"), and invocations reach the
+// handler directly or, on an endpoint registered with a Hook, pay the
+// hook's simulated delays and faults. It substitutes for the paper's
+// Tomcat/Axis testbed in experiments (see DESIGN.md §2) and is safe for
+// concurrent use.
 type Network struct {
 	clk clock.Clock
 
@@ -27,10 +27,37 @@ type Network struct {
 }
 
 type endpoint struct {
-	handler  Handler
-	link     *simnet.LinkProfile
-	service  simnet.ServiceProfile
-	injector faultinject.Injector
+	handler Handler
+	hook    *Hook
+	// requests numbers the hooked endpoint's requests for its hook.
+	requests atomic.Uint64
+}
+
+// Hook simulates what lies between callers and one endpoint: link and
+// host delays and injected faults. The experiments build it from their
+// network model and fault schedule (scm.Deploy); an endpoint without a
+// hook is invoked directly, with no encoding and no waiting.
+type Hook struct {
+	// Request decides the endpoint's k-th request (k counts from 0) of
+	// size encoded bytes.
+	Request func(k uint64, size int) Effect
+	// Reply, when set, is the delay to deliver a reply of size encoded
+	// bytes.
+	Reply func(size int) time.Duration
+}
+
+// Effect is a hook's decision for one request.
+type Effect struct {
+	// Delay is waited before the handler runs or, on an unavailable
+	// request, before the caller sees the failure (its detection
+	// latency).
+	Delay time.Duration
+	// Unavailable, when set, fails the request with an
+	// UnavailableError carrying it as the reason.
+	Unavailable string
+	// Tag, when set, is stamped on the reply as an InjectedHeader
+	// block, so a client can count the replies a hook perturbed.
+	Tag string
 }
 
 // NetworkOption configures a Network.
@@ -51,20 +78,9 @@ func NewNetwork(opts ...NetworkOption) *Network {
 // EndpointOption configures a registered endpoint.
 type EndpointOption func(*endpoint)
 
-// WithLink sets the network link profile for the endpoint. A nil or
-// absent link means zero network delay.
-func WithLink(link *simnet.LinkProfile) EndpointOption {
-	return func(e *endpoint) { e.link = link }
-}
-
-// WithServiceProfile sets the simulated host processing cost.
-func WithServiceProfile(p simnet.ServiceProfile) EndpointOption {
-	return func(e *endpoint) { e.service = p }
-}
-
-// WithInjector attaches a fault injector to the endpoint.
-func WithInjector(inj faultinject.Injector) EndpointOption {
-	return func(e *endpoint) { e.injector = inj }
+// WithHook puts h in front of the endpoint. A nil h means none.
+func WithHook(h *Hook) EndpointOption {
+	return func(e *endpoint) { e.hook = h }
 }
 
 // Register binds a handler to an address. Registering an address twice
@@ -89,13 +105,14 @@ func (n *Network) Unregister(addr string) {
 
 var _ Invoker = (*Network)(nil)
 
-// InjectedHeader is the MASC header block local name carrying the
-// fault injector's tag (faultinject.Outcome.Tag) on a perturbed reply.
+// InjectedHeader is the MASC header block local name carrying a hook's
+// Effect.Tag on a perturbed reply.
 const InjectedHeader = "Injected"
 
-// Invoke implements Invoker: it simulates the request transfer, the
-// provider-side processing (including injected degradation), and the
-// response transfer, honoring ctx cancellation between stages.
+// Invoke implements Invoker. On a hooked endpoint it numbers the
+// request, waits the hook's request-side delay (or fails the request as
+// the hook says), serves it, and waits the reply-side delay, honoring
+// ctx cancellation between stages.
 func (n *Network) Invoke(ctx context.Context, addr string, req *soap.Envelope) (*soap.Envelope, error) {
 	n.mu.RLock()
 	ep, ok := n.endpoints[addr]
@@ -104,45 +121,21 @@ func (n *Network) Invoke(ctx context.Context, addr string, req *soap.Envelope) (
 		return nil, fmt.Errorf("%w: %s", ErrEndpointNotFound, addr)
 	}
 
-	// The request is serialized only to learn the size the delay
-	// profiles charge for; an endpoint with neither pays nothing.
-	reqSize := 0
-	if ep.link != nil || ep.service.PerKB != 0 {
+	var eff Effect
+	if ep.hook != nil {
+		// The request is serialized only to learn the size the hook
+		// charges for.
 		reqText, err := req.Encode()
 		if err != nil {
 			return nil, fmt.Errorf("transport: encode request: %w", err)
 		}
-		reqSize = len(reqText)
+		eff = ep.hook.Request(ep.requests.Add(1)-1, len(reqText))
 	}
-
-	var injected faultinject.Outcome
-	if ep.injector != nil {
-		injected = ep.injector.Decide(n.clk.Now())
-	}
-
-	// An unavailable service pays the request link plus the injected
-	// failure-detection latency (e.g. a connection timeout) before the
-	// caller sees the error.
-	if injected.Unavailable {
-		var d time.Duration
-		if ep.link != nil {
-			d += ep.link.Delay(reqSize)
-		}
-		if err := n.sleep(ctx, d+injected.ExtraDelay); err != nil {
-			return nil, err
-		}
-		return nil, &UnavailableError{Endpoint: addr, Reason: injected.Reason}
-	}
-
-	// Request link transfer plus provider-side processing (one sleep to
-	// keep timer-granularity overhead off the simulated path), plus
-	// injected QoS degradation.
-	reqDelay := ep.service.ProcessingTime(reqSize) + injected.ExtraDelay
-	if ep.link != nil {
-		reqDelay += ep.link.Delay(reqSize)
-	}
-	if err := n.sleep(ctx, reqDelay); err != nil {
+	if err := n.sleep(ctx, eff.Delay); err != nil {
 		return nil, err
+	}
+	if eff.Unavailable != "" {
+		return nil, &UnavailableError{Endpoint: addr, Reason: eff.Unavailable}
 	}
 
 	resp, err := ep.handler.Serve(ctx, req)
@@ -154,16 +147,16 @@ func (n *Network) Invoke(ctx context.Context, addr string, req *soap.Envelope) (
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrTimeout, err)
 	}
-	if resp != nil && injected.Tag != "" {
-		resp.SetHeader(xmltree.NewText(soap.NamespaceMASC, InjectedHeader, injected.Tag))
+	if resp != nil && eff.Tag != "" {
+		resp.SetHeader(xmltree.NewText(soap.NamespaceMASC, InjectedHeader, eff.Tag))
 	}
 
-	if resp != nil && ep.link != nil {
+	if resp != nil && ep.hook != nil && ep.hook.Reply != nil {
 		respText, err := resp.Encode()
 		if err != nil {
 			return nil, fmt.Errorf("transport: encode response: %w", err)
 		}
-		if err := n.sleep(ctx, ep.link.Delay(len(respText))); err != nil {
+		if err := n.sleep(ctx, ep.hook.Reply(len(respText))); err != nil {
 			return nil, err
 		}
 	}

@@ -10,8 +10,6 @@ import (
 	"time"
 
 	"github.com/masc-project/masc/internal/clock"
-	"github.com/masc-project/masc/internal/faultinject"
-	"github.com/masc-project/masc/internal/simnet"
 	"github.com/masc-project/masc/internal/soap"
 	"github.com/masc-project/masc/internal/xmltree"
 )
@@ -87,30 +85,61 @@ func TestNetworkReRegisterReplaces(t *testing.T) {
 	}
 }
 
+// delayHook charges every request a fixed delay.
+func delayHook(d time.Duration) *Hook {
+	return &Hook{Request: func(uint64, int) Effect { return Effect{Delay: d} }}
+}
+
+// TestNetworkInjectedUnavailability: the hook sees the endpoint's
+// request ordinals in order and the encoded request size, and the
+// requests it marks unavailable fail with its reason without reaching
+// the handler.
 func TestNetworkInjectedUnavailability(t *testing.T) {
 	n := NewNetwork()
-	n.Register("inproc://down", echoHandler(),
-		WithInjector(faultinject.NewFailureRate(1.0, 1)))
-	_, err := n.Invoke(context.Background(), "inproc://down", testRequest(t))
-	if !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("err = %v, want ErrUnavailable", err)
+	var served int
+	n.Register("inproc://down", HandlerFunc(func(ctx context.Context, req *soap.Envelope) (*soap.Envelope, error) {
+		served++
+		return echoHandler().Serve(ctx, req)
+	}), WithHook(&Hook{Request: func(k uint64, size int) Effect {
+		if size == 0 {
+			t.Errorf("request %d: size 0", k)
+		}
+		if k%2 == 1 {
+			return Effect{Unavailable: "odd request"}
+		}
+		return Effect{}
+	}}))
+	for k := 0; k < 4; k++ {
+		_, err := n.Invoke(context.Background(), "inproc://down", testRequest(t))
+		if k%2 == 0 {
+			if err != nil {
+				t.Fatalf("request %d: %v", k, err)
+			}
+			continue
+		}
+		if !errors.Is(err, ErrUnavailable) {
+			t.Fatalf("request %d: err = %v, want ErrUnavailable", k, err)
+		}
+		var ue *UnavailableError
+		if !errors.As(err, &ue) {
+			t.Fatalf("err %T not *UnavailableError", err)
+		}
+		if ue.Endpoint != "inproc://down" || ue.Reason != "odd request" {
+			t.Fatalf("UnavailableError = %+v", ue)
+		}
 	}
-	var ue *UnavailableError
-	if !errors.As(err, &ue) {
-		t.Fatalf("err %T not *UnavailableError", err)
-	}
-	if ue.Endpoint != "inproc://down" || ue.Reason == "" {
-		t.Fatalf("UnavailableError = %+v", ue)
+	if served != 2 {
+		t.Fatalf("handler served %d requests, want 2", served)
 	}
 }
 
 func TestNetworkDelaysOnFakeClock(t *testing.T) {
 	fc := clock.NewFakeAtZero()
 	n := NewNetwork(WithClock(fc))
-	n.Register("inproc://slow", echoHandler(),
-		WithLink(simnet.NewLinkProfile(time.Second, 0, 0, 1)),
-		WithServiceProfile(simnet.ServiceProfile{Base: 3 * time.Second}),
-	)
+	n.Register("inproc://slow", echoHandler(), WithHook(&Hook{
+		Request: func(uint64, int) Effect { return Effect{Delay: 4 * time.Second} },
+		Reply:   func(int) time.Duration { return time.Second },
+	}))
 
 	type result struct {
 		resp *soap.Envelope
@@ -122,7 +151,7 @@ func TestNetworkDelaysOnFakeClock(t *testing.T) {
 		done <- result{resp, err}
 	}()
 
-	// Request link (1s) + processing (3s) + response link (1s) = 5s.
+	// Request side (4s) + reply side (1s) = 5s.
 	for i := 0; i < 3; i++ {
 		if !fc.BlockUntilWaiters(1, time.Second) {
 			t.Fatalf("stage %d: invocation never slept", i)
@@ -149,8 +178,7 @@ func TestNetworkDelaysOnFakeClock(t *testing.T) {
 
 func TestNetworkContextCancellation(t *testing.T) {
 	n := NewNetwork()
-	n.Register("inproc://slow", echoHandler(),
-		WithServiceProfile(simnet.ServiceProfile{Base: time.Hour}))
+	n.Register("inproc://slow", echoHandler(), WithHook(delayHook(time.Hour)))
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(10 * time.Millisecond)
@@ -177,22 +205,31 @@ func TestNetworkHandlerError(t *testing.T) {
 func TestNetworkDegradationAddsDelay(t *testing.T) {
 	fc := clock.NewFakeAtZero()
 	n := NewNetwork(WithClock(fc))
-	n.Register("inproc://degraded", echoHandler(),
-		WithInjector(faultinject.NewDegradation(1.0, 2*time.Second, 2*time.Second, 1)))
+	n.Register("inproc://degraded", echoHandler(), WithHook(&Hook{Request: func(uint64, int) Effect {
+		return Effect{Delay: 2 * time.Second, Tag: "degraded"}
+	}}))
 
-	done := make(chan error, 1)
+	type result struct {
+		resp *soap.Envelope
+		err  error
+	}
+	done := make(chan result, 1)
 	go func() {
-		_, err := n.Invoke(context.Background(), "inproc://degraded", testRequest(t))
-		done <- err
+		resp, err := n.Invoke(context.Background(), "inproc://degraded", testRequest(t))
+		done <- result{resp, err}
 	}()
 	if !fc.BlockUntilWaiters(1, time.Second) {
 		t.Fatal("degraded invocation never slept")
 	}
 	fc.Advance(2 * time.Second)
 	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
+	case r := <-done:
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		tag := r.resp.Header(soap.NamespaceMASC, InjectedHeader)
+		if tag == nil || tag.Text != "degraded" {
+			t.Fatalf("reply tag = %v, want degraded", tag)
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("invocation did not finish after degradation delay")
@@ -374,8 +411,7 @@ func TestNetworkSleepPrecision(t *testing.T) {
 	// Real-clock delays must be accurate to well under a millisecond
 	// despite OS timer granularity (the spin-to-deadline path).
 	n := NewNetwork()
-	n.Register("inproc://precise", echoHandler(),
-		WithServiceProfile(simnet.ServiceProfile{Base: 300 * time.Microsecond}))
+	n.Register("inproc://precise", echoHandler(), WithHook(delayHook(300*time.Microsecond)))
 	for i := 0; i < 5; i++ {
 		start := time.Now()
 		if _, err := n.Invoke(context.Background(), "inproc://precise", testRequest(t)); err != nil {
@@ -393,8 +429,7 @@ func TestNetworkSleepPrecision(t *testing.T) {
 
 func TestNetworkSleepCancelledDuringSpin(t *testing.T) {
 	n := NewNetwork()
-	n.Register("inproc://slowish", echoHandler(),
-		WithServiceProfile(simnet.ServiceProfile{Base: 50 * time.Millisecond}))
+	n.Register("inproc://slowish", echoHandler(), WithHook(delayHook(50*time.Millisecond)))
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	_, err := n.Invoke(ctx, "inproc://slowish", testRequest(t))
